@@ -1,139 +1,272 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.graph.{Bfs, Bipartite, ConnectedComponents, Peel}
+import scala.collection.mutable
+import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.{DataFrame, Row}
+import repro.graph.Bipartite
 
 /** Significant (alpha,beta)-community search algorithms (paper §IV).
   *
-  * All take the retrieved (alpha,beta)-community (or, for SCS-Baseline, the
-  * whole graph) and return Some(edges of R) — the unique connected subgraph
-  * containing q that satisfies the degree constraints and maximizes the
-  * minimum edge weight — or None when q is not in the (alpha,beta)-core.
+  * The two-step framework guarantees R ⊆ C_{alpha,beta}(q), and C is far
+  * smaller than G (Table I), so the SCS phase runs on the driver: each call
+  * collects its input once, maps the vertices to dense ints and runs the
+  * paper's pointer-based algorithms over arrays. All return Some(edges of R)
+  * — the unique connected subgraph containing q that satisfies the degree
+  * constraints and maximizes the minimum edge weight — or None when q is not
+  * in the (alpha,beta)-core of the input. R is a local DataFrame with the
+  * canonical schema (u: long, v: long, w: double).
   */
 object Scs {
   import Bipartite._
 
-  /** SCS-Peel (Algorithm 4). Precondition: `community0` is C_{alpha,beta}(q)
-    * — connected, contains q, satisfies the degree constraints.
-    *
-    * Each round deletes the batch of minimum-weight edges and cascade-peels;
-    * the working graph is always q's component of an (alpha,beta)-core, so
-    * when q first fails, the start-of-round graph IS the answer (the paper's
-    * S ∪ C recovery step).
+  /** SCS-Peel (Algorithm 4) over `community` = C_{alpha,beta}(q). Any edge
+    * set is accepted: it is peeled to its (alpha,beta)-core and cut to q's
+    * component first.
     */
-  def peel(community0: DataFrame, qGid: Long, alpha: Int, beta: Int): Option[DataFrame] = {
-    val spark = community0.sparkSession
-    var c = cp(normalize(community0))
-    if (c.isEmpty || !containsGid(c, qGid)) return None
-    var result: Option[DataFrame] = None
-    while (result.isEmpty) {
-      val r = c.agg(min(col(W)), max(col(W))).head
-      val (wMin, wMax) = (r.getDouble(0), r.getDouble(1))
-      if (wMin == wMax) result = Some(c) // all weights equal: return C (paper remark)
-      else {
-        val next = Peel.core(c.filter(col(W) =!= wMin), alpha, beta)
-        if (!containsGid(next, qGid)) result = Some(c)
-        else c = cp(Bfs.subgraphFrom(spark, sym(next), qGid))
-      }
-    }
-    result
-  }
+  def peel(community: DataFrame, qGid: Long, alpha: Int, beta: Int): Option[DataFrame] =
+    onDriver(community)(_.peel(qGid, alpha, beta))
 
-  /** SCS-Binary (paper §IV-B remark): binary search over the distinct weight
-    * levels for the largest threshold t where q stays in the (alpha,beta)-core
-    * of {w >= t}; R is then q's component of that core.
+  /** SCS-Expand (Algorithm 5): expansion restricted to the
+    * (alpha,beta)-community, checking at most when C* grew by `epsilon`.
     */
-  def binary(community0: DataFrame, qGid: Long, alpha: Int, beta: Int): Option[DataFrame] = {
-    val spark = community0.sparkSession
-    val c = cp(normalize(community0))
-    if (c.isEmpty || !containsGid(c, qGid)) return None
-    val levels = c.select(W).distinct().collect().map(_.getDouble(0)).sorted
-    def coreAt(i: Int): DataFrame = Peel.core(c.filter(col(W) >= levels(i)), alpha, beta)
-    var lo = 0 // level 0 keeps everything; q in core by precondition
-    var hi = levels.length - 1
-    while (lo < hi) {
-      val mid = (lo + hi + 1) / 2
-      if (containsGid(coreAt(mid), qGid)) lo = mid else hi = mid - 1
-    }
-    Some(Bfs.subgraphFrom(spark, sym(coreAt(lo)), qGid))
-  }
-
-  /** SCS-Expand (Algorithm 5) over `source0` = C_{alpha,beta}(q);
-    * SCS-Baseline is the same engine over the whole graph. Edges are inserted
-    * in decreasing weight batches; connected components are maintained
-    * incrementally (the union-find analog is seeded min-label propagation);
-    * full peel-checks are pruned by Lemma 7, Lemma 8 and the geometric
-    * (epsilon = 2) growth schedule.
-    */
-  def expandFrom(source0: DataFrame, qGid: Long, alpha: Int, beta: Int,
-                 epsilon: Double = 2.0): Option[DataFrame] = {
-    val spark = source0.sparkSession
-    val source = cp(normalize(source0))
-    if (source.isEmpty) return None
-    val levels = source.select(W).distinct().collect().map(_.getDouble(0))
-      .sorted(Ordering[Double].reverse)
-
-    var gStar = source.limit(0)
-    var labels: Option[DataFrame] = None
-    var preSize = 0L
-    var lastSeen = -1L
-
-    def check(force: Boolean): Option[DataFrame] = {
-      val lab = labels.getOrElse(return None)
-      val qRows = lab.filter(col("gid") === qGid).collect()
-      if (qRows.isEmpty) return None
-      val compId = qRows(0).getLong(1)
-      val members = lab.filter(col("comp") === compId).select(col("gid").as("ugid"))
-      // Components are vertex-closed, so filtering by the upper endpoint
-      // suffices to select C*'s edges.
-      val cStar = cp(gStar.join(members, gidU(col(U)) === col("ugid"), "left_semi"))
-      val szRow = cStar.agg(count(lit(1)), countDistinct(col(U)), countDistinct(col(V))).head
-      val (nE, nU, nL) = (szRow.getLong(0), szRow.getLong(1), szRow.getLong(2))
-      if (nE == lastSeen && !force) return None // C* unchanged since last look
-      lastSeen = nE
-      if (!force) {
-        // Lemma 7: |E(C*)| - |U(C*)| - |L(C*)| >= alpha*beta - alpha - beta.
-        if (nE - nU - nL < alpha.toLong * beta - alpha - beta) return None
-        // Lemma 8: >= beta upper vertices of degree >= alpha, >= alpha lower
-        // vertices of degree >= beta, and q meets its own side's bound.
-        val cU = degreesU(cStar).filter(col("deg") >= alpha).count()
-        val cL = degreesL(cStar).filter(col("deg") >= beta).count()
-        val qDeg =
-          if (isUGid(qGid)) degreesU(cStar).filter(col(U) === qGid / 2)
-          else degreesL(cStar).filter(col(V) === qGid / 2)
-        val qRowsD = qDeg.collect()
-        val qOk = qRowsD.nonEmpty &&
-          qRowsD(0).getInt(1) >= (if (isUGid(qGid)) alpha else beta)
-        if (!(cU >= beta && cL >= alpha && qOk)) return None
-        // Geometric check schedule (epsilon = 2).
-        if (nE < preSize * epsilon) return None
-      }
-      preSize = nE
-      val peeled = Peel.core(cStar, alpha, beta)
-      if (!containsGid(peeled, qGid)) None
-      else peel(Bfs.subgraphFrom(spark, sym(peeled), qGid), qGid, alpha, beta)
-    }
-
-    for (lvl <- levels) {
-      gStar = cp(gStar.unionByName(source.filter(col(W) === lvl)))
-      labels = Some(ConnectedComponents.seededLabels(gStar, labels))
-      check(force = false) match {
-        case Some(r) => return Some(r)
-        case None    =>
-      }
-    }
-    check(force = true) // all edges inserted: the final check is exact
-  }
-
-  /** SCS-Expand: expansion restricted to the (alpha,beta)-community. */
   def expand(community: DataFrame, qGid: Long, alpha: Int, beta: Int,
              epsilon: Double = 2.0): Option[DataFrame] =
-    expandFrom(community, qGid, alpha, beta, epsilon)
+    onDriver(community)(_.expand(qGid, alpha, beta, epsilon))
 
   /** SCS-Baseline: expansion over the whole graph — no two-step framework, so
     * the search space is q's component of G rather than C_{alpha,beta}(q).
     */
   def baseline(allEdges: DataFrame, qGid: Long, alpha: Int, beta: Int): Option[DataFrame] =
-    expandFrom(allEdges, qGid, alpha, beta)
+    onDriver(allEdges)(_.expand(qGid, alpha, beta, 2.0))
+
+  /** Heap bytes budgeted per collected edge: the collected row (~100 B), the
+    * transient serialized batch, and the per-edge and per-vertex arrays of
+    * [[DriverGraph]] (~300 B) fit about three times over.
+    */
+  private val BytesPerEdge = 1024L
+
+  /** Keeps `cap + 1` and the 2·cap adjacency slots inside Int. */
+  private val MaxEdges = Int.MaxValue / 4
+
+  /** The largest edge set the SCS phase collects to a driver of `heapBytes`. */
+  private[core] def maxDriverEdges(heapBytes: Long): Int =
+    math.max(1L, math.min(heapBytes / BytesPerEdge, MaxEdges.toLong)).toInt
+
+  /** Collects `edges` as canonical rows, rejecting inputs above the driver
+    * limit for `heapBytes` before they can exhaust the heap.
+    */
+  private[core] def collectCapped(edges: DataFrame, heapBytes: Long): Array[Row] = {
+    val cap = maxDriverEdges(heapBytes)
+    val rows = normalize(edges).limit(cap + 1).collect()
+    if (rows.length > cap)
+      throw new IllegalArgumentException(s"SCS input has ${edges.count()} edges; " +
+        s"the driver limit for a $heapBytes-byte heap is $cap edges")
+    rows
+  }
+
+  private def onDriver(edges: DataFrame)(run: DriverGraph => Option[Array[Int]]): Option[DataFrame] = {
+    val rows = collectCapped(edges, Runtime.getRuntime.maxMemory)
+    run(new DriverGraph(rows)).map { r =>
+      edges.sparkSession.createDataFrame(r.toSeq.map(rows(_)).asJava, normalize(edges).schema)
+    }
+  }
+
+  /** An edge list in array form. Upper vertices are 0 until nU, lower
+    * vertices nU until n; edge e joins src(e) to dst(e) with weight w(e);
+    * adj holds each vertex's edge ids (CSR); byLevel lists the edge ids in
+    * ascending weight, level l spanning levelStart(l) until levelStart(l+1).
+    * Results are arrays of edge ids, i.e. indexes into the collected rows.
+    */
+  private final class DriverGraph(rows: Array[Row]) {
+    private val m = rows.length
+    private val upper = mutable.LongMap.empty[Int]
+    private val lower = mutable.LongMap.empty[Int]
+    private val src = rows.map(r => upper.getOrElseUpdate(r.getLong(0), upper.size))
+    private val nU = upper.size
+    private val dst = rows.map(r => nU + lower.getOrElseUpdate(r.getLong(1), lower.size))
+    private val n = nU + lower.size
+    private val w = rows.map(_.getDouble(2))
+
+    private val (offs, adj) = {
+      val offs = new Array[Int](n + 1)
+      for (e <- 0 until m) { offs(src(e) + 1) += 1; offs(dst(e) + 1) += 1 }
+      for (x <- 0 until n) offs(x + 1) += offs(x)
+      val fill = offs.clone()
+      val adj = new Array[Int](2 * m)
+      for (e <- 0 until m) {
+        adj(fill(src(e))) = e; fill(src(e)) += 1
+        adj(fill(dst(e))) = e; fill(dst(e)) += 1
+      }
+      (offs, adj)
+    }
+
+    private val (levelStart, byLevel) = {
+      val levels = w.distinct.sorted(Ordering.Double.TotalOrdering) // the order binarySearch assumes
+      val level = w.map(java.util.Arrays.binarySearch(levels, _))
+      val start = new Array[Int](levels.length + 1)
+      level.foreach(l => start(l + 1) += 1)
+      for (l <- levels.indices) start(l + 1) += start(l)
+      val fill = start.clone()
+      val by = new Array[Int](m)
+      for (e <- 0 until m) { by(fill(level(e))) = e; fill(level(e)) += 1 }
+      (start, by)
+    }
+    private def nLevels: Int = levelStart.length - 1
+
+    private def vertexOf(qGid: Long): Int =
+      if (isUGid(qGid)) upper.getOrElse(qGid / 2, -1)
+      else lower.get(qGid / 2).fold(-1)(_ + nU)
+
+    private def other(e: Int, x: Int): Int = if (src(e) == x) dst(e) else src(e)
+
+    /** Edge ids of the component of q over the `alive` edges. */
+    private def component(alive: Array[Boolean], q: Int): Array[Int] = {
+      val out = Array.newBuilder[Int]
+      val seen = new Array[Boolean](n)
+      val stack = new Array[Int](n)
+      var sp = 1
+      stack(0) = q; seen(q) = true
+      while (sp > 0) {
+        sp -= 1
+        val x = stack(sp)
+        for (k <- offs(x) until offs(x + 1)) {
+          val e = adj(k)
+          if (alive(e)) {
+            if (x < nU) out += e // every edge has one upper endpoint
+            val y = other(e, x)
+            if (!seen(y)) { seen(y) = true; stack(sp) = y; sp += 1 }
+          }
+        }
+      }
+      out.result()
+    }
+
+    /** Algorithm 4 over the edges flagged in `alive` (consumed). A queue-based
+      * cascade peel reduces the input to its (alpha,beta)-core, which is cut
+      * to q's component; then each round deletes the batch of minimum-weight
+      * edges and cascades. The working graph stays an (alpha,beta)-core, so
+      * when q first loses its edges, R is q's component of the start-of-round
+      * graph: the survivors plus the round's deletions S (the paper's S ∪ C).
+      */
+    private def peelFrom(alive: Array[Boolean], q: Int, alpha: Int, beta: Int): Option[Array[Int]] = {
+      val (thU, thL) = (math.max(alpha, 1), math.max(beta, 1))
+      val deg = new Array[Int](n)
+      for (e <- 0 until m if alive(e)) { deg(src(e)) += 1; deg(dst(e)) += 1 }
+      val gone = new Array[Boolean](n)
+      val queue = new Array[Int](n)
+      var qn = 0
+      val deleted = new Array[Int](m) // S: this round's deletions
+      var sn = 0
+      def drop(x: Int): Unit =
+        if (!gone(x) && deg(x) < (if (x < nU) thU else thL)) { gone(x) = true; queue(qn) = x; qn += 1 }
+      def delete(e: Int): Unit = {
+        alive(e) = false; deleted(sn) = e; sn += 1
+        deg(src(e)) -= 1; deg(dst(e)) -= 1
+        drop(src(e)); drop(dst(e))
+      }
+      def cascade(): Unit = while (qn > 0) {
+        qn -= 1
+        val x = queue(qn)
+        for (k <- offs(x) until offs(x + 1)) if (alive(adj(k))) delete(adj(k))
+      }
+
+      for (x <- 0 until n if deg(x) > 0) drop(x)
+      cascade()
+      if (q < 0 || deg(q) == 0) return None
+      val c = component(alive, q)
+      java.util.Arrays.fill(alive, false)
+      c.foreach(alive(_) = true)
+
+      var l = 0
+      while (true) { // terminates: deleting every level leaves q without edges
+        sn = 0
+        for (k <- levelStart(l) until levelStart(l + 1) if alive(byLevel(k))) delete(byLevel(k))
+        cascade()
+        if (deg(q) == 0) {
+          for (i <- 0 until sn) alive(deleted(i)) = true
+          return Some(component(alive, q))
+        }
+        l += 1
+      }
+      None // unreachable
+    }
+
+    def peel(qGid: Long, alpha: Int, beta: Int): Option[Array[Int]] =
+      peelFrom(Array.fill(m)(true), vertexOf(qGid), alpha, beta)
+
+    /** Algorithm 5: inserts edge batches into G* in decreasing weight order,
+      * keeping components in a union-find that carries per-component edge
+      * and vertex counts and, for Lemma 8, the number of upper vertices of
+      * degree >= alpha and lower vertices of degree >= beta. C* (q's
+      * component) is peeled only when it changed and passes Lemma 7, Lemma 8
+      * and the epsilon growth schedule; the first C* whose core keeps q
+      * contains R, which SCS-Peel then extracts.
+      */
+    def expand(qGid: Long, alpha: Int, beta: Int, epsilon: Double): Option[Array[Int]] = {
+      val q = vertexOf(qGid)
+      if (q < 0) return None
+      val (thU, thL) = (math.max(alpha, 1), math.max(beta, 1))
+      val parent = Array.tabulate(n)(identity)
+      val compE = new Array[Int](n)
+      val compV = Array.fill(n)(1)
+      val okU = new Array[Int](n)
+      val okL = new Array[Int](n)
+      val deg = new Array[Int](n)
+      def find(x0: Int): Int = {
+        var x = x0
+        while (parent(x) != x) { parent(x) = parent(parent(x)); x = parent(x) }
+        x
+      }
+      def touch(x: Int): Unit = {
+        deg(x) += 1
+        if (x < nU) { if (deg(x) == thU) okU(find(x)) += 1 }
+        else if (deg(x) == thL) okL(find(x)) += 1
+      }
+      def insert(e: Int): Unit = {
+        touch(src(e)); touch(dst(e))
+        val (a, b) = (find(src(e)), find(dst(e)))
+        if (a == b) compE(a) += 1
+        else {
+          val (big, small) = if (compV(a) >= compV(b)) (a, b) else (b, a)
+          parent(small) = big
+          compE(big) += compE(small) + 1
+          compV(big) += compV(small)
+          okU(big) += okU(small)
+          okL(big) += okL(small)
+        }
+      }
+
+      var first = m // G* is byLevel(first until m)
+      var preSize = 0L
+      var lastSeen = -1
+      def check(force: Boolean): Option[Array[Int]] = {
+        if (deg(q) == 0) return None
+        val r = find(q)
+        val size = compE(r)
+        if (size == lastSeen && !force) return None // C* unchanged since last look
+        lastSeen = size
+        if (!force) {
+          // Lemma 7: |E(C*)| - |U(C*)| - |L(C*)| >= alpha*beta - alpha - beta.
+          if (size.toLong - compV(r) < alpha.toLong * beta - alpha - beta) return None
+          // Lemma 8: >= beta upper vertices of degree >= alpha, >= alpha lower
+          // vertices of degree >= beta, and q meets its own side's bound.
+          val qOk = deg(q) >= (if (q < nU) thU else thL)
+          if (!(okU(r) >= beta && okL(r) >= alpha && qOk)) return None
+          if (size < preSize * epsilon) return None
+        }
+        preSize = size
+        val cStar = new Array[Boolean](m)
+        for (k <- first until m if find(src(byLevel(k))) == r) cStar(byLevel(k)) = true
+        peelFrom(cStar, q, alpha, beta)
+      }
+
+      for (l <- nLevels - 1 to 0 by -1) {
+        for (k <- levelStart(l) until levelStart(l + 1)) insert(byLevel(k))
+        first = levelStart(l)
+        val r = check(force = false)
+        if (r.isDefined) return r
+      }
+      check(force = true) // all edges inserted: the final check is exact
+    }
+  }
 }

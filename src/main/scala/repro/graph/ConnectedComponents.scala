@@ -4,8 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Connected components by min-gid label propagation over the gid-encoded
-  * adjacency — the dataflow stand-in for the paper's union-find (used by
-  * SCS-Expand) and BFS component extraction.
+  * adjacency, and BFS component extraction.
   */
 object ConnectedComponents {
   import Bipartite._
@@ -13,23 +12,10 @@ object ConnectedComponents {
   /** Component labels: DataFrame(gid: long, comp: long) where comp is the
     * minimum gid reachable from the vertex.
     */
-  def labels(edges: DataFrame, maxIter: Int = 100000): DataFrame =
-    seededLabels(edges, None, maxIter)
-
-  /** Incremental variant: seed labels from a previous run (vertices absent
-    * from the seed start at their own gid). Converges in a few rounds when
-    * only a small edge batch was added — the union-find analog in SCS-Expand.
-    */
-  def seededLabels(edges: DataFrame, seed: Option[DataFrame], maxIter: Int = 100000): DataFrame = {
+  def labels(edges: DataFrame, maxIter: Int = 100000): DataFrame = {
     val adj = cp(sym(normalize(edges)).select(col("src"), col("dst")))
     val verts = adj.select(col("src").as("gid")).distinct()
-    var lab = cp(seed match {
-      case Some(s) =>
-        verts.join(s.withColumnRenamed("comp", "seedComp"), Seq("gid"), "left")
-          .select(col("gid"), coalesce(col("seedComp"), col("gid")).as("comp"))
-      case None =>
-        verts.select(col("gid"), col("gid").as("comp"))
-    })
+    var lab = cp(verts.select(col("gid"), col("gid").as("comp")))
     // Labels are pointwise monotone non-increasing (min propagation), so an
     // unchanged sum is an exact fixpoint test.
     def sumOf(df: DataFrame): Long = {

@@ -30,8 +30,4 @@ object Peel {
     }
     edges
   }
-
-  /** The (alpha, beta)-core of the subgraph of edges with weight >= minW. */
-  def coreAtWeight(edges: DataFrame, alpha: Int, beta: Int, minW: Double): DataFrame =
-    core(normalize(edges).filter(col(W) >= minW), alpha, beta)
 }

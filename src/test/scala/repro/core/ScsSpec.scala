@@ -5,8 +5,8 @@ import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.local.{LocalBipartite, LocalScs}
 import LocalBipartite.{gidL, gidU}
 
-/** SCS-Peel / SCS-Expand / SCS-Baseline / SCS-Binary vs the sequential
-  * semantic oracle, plus structural audits of the result.
+/** SCS-Peel / SCS-Expand / SCS-Baseline vs the sequential semantic oracle,
+  * structural audits of the result, and the driver-size limit.
   */
 class ScsSpec extends SparkSpec {
   import TestGraphs._
@@ -21,7 +21,6 @@ class ScsSpec extends SparkSpec {
     Seq(
       "peel" -> Scs.peel(community, qGid, a, b).map(edgeSet),
       "expand" -> Scs.expand(community, qGid, a, b).map(edgeSet),
-      "binary" -> Scs.binary(community, qGid, a, b).map(edgeSet),
       "baseline" -> Scs.baseline(df, qGid, a, b).map(edgeSet),
     )
   }
@@ -68,18 +67,70 @@ class ScsSpec extends SparkSpec {
   }
 
   test("random graphs: Spark algorithms match the sequential oracle") {
-    for (seed <- Seq(31, 32)) {
-      val edges = random(6, 6, 0.5, seed)
-      val df = toDF(spark, edges)
-      val idx = DeltaIndex.build(df)
+    var splitCores = 0
+    for (seed <- 1 to 25) {
+      // Two or three weight levels force ties. Every third graph is two dense
+      // blocks joined by the path v1-u9-v9-u5, which no core with alpha or
+      // beta >= 3 keeps: the core falls apart into several components.
+      val maxW = 2 + seed % 2
+      val edges =
+        if (seed % 3 != 0) random(7, 6, 0.55, seed, maxW)
+        else random(4, 4, 0.75, seed, maxW) ++
+          random(4, 4, 0.75, seed + 100, maxW).map { case (u, v, w) => (u + 4, v + 4, w) } ++
+          Vector((9L, 1L, 1.0), (9L, 9L, 1.0), (5L, 9L, 1.0))
       val g = LocalBipartite(edges)
-      for ((q, a, b) <- Seq((gidU(1), 2, 2), (gidL(1), 2, 2))) {
+      val df = toDF(spark, edges)
+      val params = Seq((2, 2), (2, 3), (3, 2), (1, 3), (3, 1))
+      for ((q, (a, b)) <- Seq(gidU(1 + seed % 7), gidL(1 + seed % 6)).zip(
+             Seq(params(seed % 5), params((seed + 2) % 5)))) {
         val exp = LocalScs.semantic(g, q, a, b).map(_.edges.toSet)
-        run(edges, idx, q, a, b).foreach { case (name, res) =>
-          assert(res == exp, s"seed=$seed $name q=$q ($a,$b)")
+        val core = g.core(a, b)
+        if (exp.nonEmpty && core.components.values.toSet.size > 1) splitCores += 1
+        val community = toDF(spark, core.componentOf(q).edges)
+        Seq(
+          "peel" -> Scs.peel(community, q, a, b),
+          "expand" -> Scs.expand(community, q, a, b),
+          "baseline" -> Scs.baseline(df, q, a, b),
+          "peel(G)" -> Scs.peel(df, q, a, b),
+        ).foreach { case (name, res) =>
+          assert(res.map(edgeSet) == exp, s"seed=$seed $name q=$q ($a,$b)")
         }
       }
     }
+    assert(splitCores > 0, "no query ran on a core with several components")
+  }
+
+  test("peel accepts any edge set: the whole graph gives the semantic answer") {
+    val allTwo = k33Pendant.map { case (u, v, _) => (u, v, 2.0) }
+    val cut = twoBlocks.filter(_._3 != 1.0)
+    for ((edges, q, a, b) <- Seq(
+           (allTwo, gidU(1), 2, 2), // all weights equal: the pendant must still go
+           (cut, gidU(3), 2, 2), // q dies in the first round: only its component
+           (fig2, gidU(3), 2, 2), (fig2, gidU(1), 2, 2), (fig2, gidL(3), 2, 2),
+           (fig2, gidU(2), 3, 3), (fig2, gidU(5), 1, 1))) {
+      val exp = LocalScs.semantic(LocalBipartite(edges), q, a, b).map(_.edges.toSet)
+      assert(Scs.peel(toDF(spark, edges), q, a, b).map(edgeSet) == exp, s"q=$q ($a,$b)")
+    }
+  }
+
+  test("driver edge limit is positive, monotone in the heap and fits in an Int") {
+    val heaps = Seq(Long.MinValue, -1L, 0L, 1L, 1L << 10, 1L << 20, 3L << 30, 1L << 40,
+      1L << 50, Long.MaxValue)
+    val caps = heaps.map(Scs.maxDriverEdges)
+    assert(caps.forall(_ > 0))
+    assert(caps.zip(caps.tail).forall { case (a, b) => a <= b })
+    assert(caps.forall(c => 2L * c + 1 <= Int.MaxValue)) // cap + 1 rows, 2·cap adjacency slots
+    assert(Scs.maxDriverEdges(3L << 30) >= 1000000)
+  }
+
+  test("an input above the driver limit is rejected before it is collected") {
+    val df = toDF(spark, fig2)
+    val heap = 10L * 1024
+    val cap = Scs.maxDriverEdges(heap)
+    assert(cap < fig2.size)
+    val e = intercept[IllegalArgumentException](Scs.collectCapped(df, heap))
+    assert(e.getMessage.contains(s"${fig2.size} edges") && e.getMessage.contains(s"$cap edges"))
+    assert(Scs.collectCapped(df, 1L << 30).length == fig2.size)
   }
 
   test("result audit: connectivity, degrees and min-weight maximality (DuckDB)") {

@@ -28,15 +28,6 @@ class ComponentsSpec extends SparkSpec {
     }
   }
 
-  test("seeded labels converge to the same fixpoint as unseeded") {
-    val all = toDF(spark, twoBlocks)
-    val part = toDF(spark, twoBlocks.filter(_._3 >= 2.0))
-    val seed = ConnectedComponents.labels(part)
-    val got = ConnectedComponents.seededLabels(all, Some(seed))
-      .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    assert(got == LocalBipartite(twoBlocks).components)
-  }
-
   test("componentEdges extracts exactly q's component") {
     val cut = twoBlocks.filter(_._3 != 1.0)
     val df = toDF(spark, cut)

@@ -35,14 +35,6 @@ class PeelSpec extends SparkSpec {
     }
   }
 
-  test("coreAtWeight filters then peels") {
-    val df = toDF(spark, fig2)
-    val got = edgeSet(Peel.coreAtWeight(df, 2, 2, 5.0))
-    val exp = LocalBipartite(fig2).filterWeight(5.0).core(2, 2).edges.toSet
-    assert(got == exp)
-    assert(got == fig2ScU3) // the Figure 2 significant community block
-  }
-
   test("degrees agree with DuckDB") {
     val df = toDF(spark, fig2)
     Oracle.assertEquivalent(

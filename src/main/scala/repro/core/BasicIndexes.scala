@@ -70,7 +70,7 @@ object BasicIndexes {
     val adj = idx.entries
       .filter(col("tau") === tau && col("off") >= bound)
       .select(col("src"), col("dst"), col(U), col(V), col(W))
-    Bfs.subgraphFrom(spark, adj, qGid)
+    Bfs.subgraphFrom(adj, qGid)
   }
 }
 

@@ -56,6 +56,6 @@ object BicoreIndex {
     val coreEdges = edges
       .join(members.select(col("gid").as("ugid")), gidU(col(U)) === col("ugid"), "left_semi")
       .join(members.select(col("gid").as("lgid")), gidL(col(V)) === col("lgid"), "left_semi")
-    Bfs.subgraphFrom(spark, sym(coreEdges), qGid)
+    Bfs.subgraphFrom(sym(coreEdges), qGid)
   }
 }

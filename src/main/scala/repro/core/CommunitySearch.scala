@@ -17,12 +17,8 @@ object CommunitySearch {
   import Bipartite._
 
   /** Q_o: full online peeling followed by component extraction. */
-  def online(edges0: DataFrame, qGid: Long, alpha: Int, beta: Int): DataFrame = {
-    val spark = edges0.sparkSession
-    val core = Peel.core(edges0, alpha, beta)
-    if (!containsGid(core, qGid)) emptyEdges(spark)
-    else Bfs.subgraphFrom(spark, sym(core), qGid)
-  }
+  def online(edges0: DataFrame, qGid: Long, alpha: Int, beta: Int): DataFrame =
+    Bfs.subgraphFrom(sym(Peel.core(edges0, alpha, beta)), qGid)
 
   /** Q_v: see [[BicoreIndex.query]]. */
   def viaBicore(edges: DataFrame, idx: BicoreIndex, qGid: Long, alpha: Int, beta: Int): DataFrame =
@@ -31,8 +27,4 @@ object CommunitySearch {
   /** Q_opt: see [[DeltaIndex.query]]. */
   def viaDelta(idx: DeltaIndex, qGid: Long, alpha: Int, beta: Int): DataFrame =
     DeltaIndex.query(idx, qGid, alpha, beta)
-
-  /** Query via a basic index I_bs^alpha / I_bs^beta. */
-  def viaBasic(idx: BasicIndex, qGid: Long, alpha: Int, beta: Int): DataFrame =
-    BasicIndexes.query(idx, qGid, alpha, beta)
 }

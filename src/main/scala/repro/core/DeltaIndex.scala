@@ -120,7 +120,7 @@ object DeltaIndex {
     val adj = idx.entries
       .filter(col("part") === part && col("tau") === tau && col("off") >= bound)
       .select(col("src"), col("dst"), col(U), col(V), col(W))
-    Bfs.subgraphFrom(spark, adj, qGid)
+    Bfs.subgraphFrom(adj, qGid)
   }
 
   private def emptyEntries(spark: org.apache.spark.sql.SparkSession): DataFrame = {

@@ -39,19 +39,6 @@ object Scs {
   def baseline(allEdges: DataFrame, qGid: Long, alpha: Int, beta: Int): Option[DataFrame] =
     onDriver(allEdges)(_.expand(qGid, alpha, beta, 2.0))
 
-  /** Heap bytes budgeted per collected edge: the collected row (~100 B), the
-    * transient serialized batch, and the per-edge and per-vertex arrays of
-    * [[DriverGraph]] (~300 B) fit about three times over.
-    */
-  private val BytesPerEdge = 1024L
-
-  /** Keeps `cap + 1` and the 2·cap adjacency slots inside Int. */
-  private val MaxEdges = Int.MaxValue / 4
-
-  /** The largest edge set the SCS phase collects to a driver of `heapBytes`. */
-  private[core] def maxDriverEdges(heapBytes: Long): Int =
-    math.max(1L, math.min(heapBytes / BytesPerEdge, MaxEdges.toLong)).toInt
-
   /** Collects `edges` as canonical rows, rejecting inputs above the driver
     * limit for `heapBytes` before they can exhaust the heap.
     */

@@ -80,14 +80,20 @@ object Bipartite {
   def collectEdges(edges: DataFrame): Vector[(Long, Long, Double)] =
     normalize(edges).collect().toVector.map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
 
-  /** Membership test: is the gid-encoded vertex present in the edge set? */
-  def containsGid(edges: DataFrame, gid: Long): Boolean = {
-    val e = normalize(edges)
-    val cond =
-      if (isUGid(gid)) col(U) === lit(gid / 2)
-      else col(V) === lit(gid / 2)
-    !e.filter(cond).isEmpty
-  }
+  /** Heap bytes budgeted per collected edge: the collected row (~100 B), the
+    * transient serialized batch, and the driver-side arrays or hash entries
+    * built over it (~300 B) fit about three times over.
+    */
+  private val BytesPerEdge = 1024L
+
+  /** Keeps `cap + 1` and the 2·cap adjacency slots inside Int. */
+  private val MaxEdges = Int.MaxValue / 4
+
+  /** The largest edge (or vertex) set collected to a driver of `heapBytes`:
+    * the SCS input in `core.Scs`, the visited set in [[Bfs]].
+    */
+  private[repro] def maxDriverEdges(heapBytes: Long): Int =
+    math.max(1L, math.min(heapBytes / BytesPerEdge, MaxEdges.toLong)).toInt
 
   /** Empty canonical edge DataFrame. */
   def emptyEdges(spark: org.apache.spark.sql.SparkSession): DataFrame = {

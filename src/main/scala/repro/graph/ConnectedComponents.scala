@@ -43,5 +43,5 @@ object ConnectedComponents {
 
   /** Edges of the connected component containing qGid (empty if absent). */
   def componentEdges(edges: DataFrame, qGid: Long): DataFrame =
-    Bfs.subgraphFrom(edges.sparkSession, sym(normalize(edges)), qGid)
+    Bfs.subgraphFrom(sym(normalize(edges)), qGid)
 }

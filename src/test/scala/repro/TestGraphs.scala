@@ -1,6 +1,7 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions._
 import repro.graph.Bipartite
 import repro.local.LocalBipartite
 
@@ -17,6 +18,12 @@ object TestGraphs {
 
   def toLocal(df: DataFrame): LocalBipartite =
     LocalBipartite.fromEdges(Bipartite.collectEdges(df))
+
+  /** Membership test: is the gid-encoded vertex present in the edge set? */
+  def containsGid(edges: DataFrame, gid: Long): Boolean = {
+    val side = if (Bipartite.isUGid(gid)) Bipartite.U else Bipartite.V
+    !Bipartite.normalize(edges).filter(col(side) === gid / 2).isEmpty
+  }
 
   /** Miniature of the paper's Figure 2 running example: a hub lower vertex
     * v1 with many degree-1 pendants, and a small dense block. The significant
@@ -44,9 +51,14 @@ object TestGraphs {
     (2L, 3L, 1.0), // bridge
   )
 
+  /** The path u1-v1-u2-...-vn-u(n+1) with weights 1..2n along it; u1 has
+    * eccentricity 2n.
+    */
+  def pathOf(n: Int): Vector[(Long, Long, Double)] =
+    (1L to n.toLong).flatMap(i => Seq((i, i, 2.0 * i - 1), (i + 1, i, 2.0 * i))).toVector
+
   /** A path u1-v1-u2-v2-u3 (tests long propagation chains). */
-  val path: Vector[(Long, Long, Double)] = Vector(
-    (1L, 1L, 1.0), (2L, 1L, 2.0), (2L, 2L, 3.0), (3L, 2L, 4.0))
+  val path: Vector[(Long, Long, Double)] = pathOf(2)
 
   /** Star: one upper hub with 6 lower pendants. */
   val star: Vector[(Long, Long, Double)] =

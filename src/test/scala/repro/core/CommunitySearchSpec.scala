@@ -34,17 +34,49 @@ class CommunitySearchSpec extends SparkSpec {
   }
 
   test("all three algorithms agree on a random graph") {
-    val edges = random(7, 7, 0.45, seed = 21)
-    val df = toDF(spark, edges)
-    val idxD = DeltaIndex.build(df)
-    val idxV = BicoreIndex.build(df)
-    val g = LocalBipartite(edges)
-    for ((a, b) <- Seq((2, 2), (1, 3), (3, 1)); q <- Seq(gidU(2), gidL(3))) {
-      val exp = g.community(q, a, b).edges.toSet
-      assert(edgeSet(CommunitySearch.online(df, q, a, b)) == exp, s"Qo q=$q ($a,$b)")
-      assert(edgeSet(CommunitySearch.viaBicore(df, idxV, q, a, b)) == exp, s"Qv q=$q ($a,$b)")
-      assert(edgeSet(CommunitySearch.viaDelta(idxD, q, a, b)) == exp, s"Qopt q=$q ($a,$b)")
+    // A 24-vertex ring (a (2,2)-core, eccentricity 12) with the path
+    // pathOf(6) hanging off v1: at (1,1) q = u107 is 25 hops from the far
+    // side of the ring; at (2,2) the path is peeled away.
+    val ring = (1L to 12L).flatMap(i => Seq((i, i, 1.0 + i % 3), (i % 12 + 1, i, 2.0))).toVector
+    val tail = pathOf(6).map { case (u, v, w) => (u + 100, v + 100, w) } :+ ((101L, 1L, 1.0))
+    val graphs = (1 to 14).map { seed =>
+      seed -> (seed % 3 match {
+        case 0 => random(9, 9, 0.22, seed) // sparse: G and its cores fall apart
+        case 1 => random(7, 6, 0.5, seed)
+        // Two dense blocks joined by the path v1-u9-v9-u5, which no core with
+        // alpha or beta >= 3 keeps.
+        case _ => random(4, 4, 0.75, seed) ++
+            random(4, 4, 0.75, seed + 100).map { case (u, v, w) => (u + 4, v + 4, w) } ++
+            Vector((9L, 1L, 1.0), (9L, 9L, 1.0), (5L, 9L, 1.0))
+      })
+    } :+ (15 -> (ring ++ tail))
+    val params = Seq((2, 2), (1, 3), (3, 1), (2, 3), (3, 2), (1, 1), (3, 3))
+    var (splitCores, outside) = (0, 0)
+    for ((seed, edges) <- graphs) {
+      val df = toDF(spark, edges)
+      val idxD = DeltaIndex.build(df)
+      val idxV = BicoreIndex.fromDelta(idxD)
+      val g = LocalBipartite(edges)
+      val cases =
+        if (seed == 15) Seq((gidU(107), 1, 1), (gidL(7), 2, 2), (gidU(107), 2, 2), (gidU(999), 1, 1))
+        else {
+          val (a, b) = params(seed % params.size)
+          val core = g.core(a, b)
+          if (core.components.values.toSet.size > 1) splitCores += 1
+          val out = (g.vertices -- core.vertices).toSeq.sorted.take(1)
+          (core.upperVertices.toSeq.sorted.take(1) ++ core.lowerVertices.toSeq.sorted.takeRight(1) ++
+            out).map(q => (q, a, b))
+        }
+      for ((q, a, b) <- cases) {
+        val exp = g.community(q, a, b).edges.toSet
+        if (exp.isEmpty) outside += 1
+        assert(edgeSet(CommunitySearch.online(df, q, a, b)) == exp, s"seed=$seed Qo q=$q ($a,$b)")
+        assert(edgeSet(CommunitySearch.viaBicore(df, idxV, q, a, b)) == exp, s"seed=$seed Qv q=$q ($a,$b)")
+        assert(edgeSet(CommunitySearch.viaDelta(idxD, q, a, b)) == exp, s"seed=$seed Qopt q=$q ($a,$b)")
+      }
     }
+    assert(splitCores > 0, "no query ran on a core with several components")
+    assert(outside > 0, "no query started outside the core")
   }
 
   test("two-block graph: community stays within q's component") {

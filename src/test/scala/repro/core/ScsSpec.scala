@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.graph.Bipartite
 import repro.local.{LocalBipartite, LocalScs}
 import LocalBipartite.{gidL, gidU}
 
@@ -116,17 +117,17 @@ class ScsSpec extends SparkSpec {
   test("driver edge limit is positive, monotone in the heap and fits in an Int") {
     val heaps = Seq(Long.MinValue, -1L, 0L, 1L, 1L << 10, 1L << 20, 3L << 30, 1L << 40,
       1L << 50, Long.MaxValue)
-    val caps = heaps.map(Scs.maxDriverEdges)
+    val caps = heaps.map(Bipartite.maxDriverEdges)
     assert(caps.forall(_ > 0))
     assert(caps.zip(caps.tail).forall { case (a, b) => a <= b })
     assert(caps.forall(c => 2L * c + 1 <= Int.MaxValue)) // cap + 1 rows, 2·cap adjacency slots
-    assert(Scs.maxDriverEdges(3L << 30) >= 1000000)
+    assert(Bipartite.maxDriverEdges(3L << 30) >= 1000000)
   }
 
   test("an input above the driver limit is rejected before it is collected") {
     val df = toDF(spark, fig2)
     val heap = 10L * 1024
-    val cap = Scs.maxDriverEdges(heap)
+    val cap = Bipartite.maxDriverEdges(heap)
     assert(cap < fig2.size)
     val e = intercept[IllegalArgumentException](Scs.collectCapped(df, heap))
     assert(e.getMessage.contains(s"${fig2.size} edges") && e.getMessage.contains(s"$cap edges"))
@@ -156,7 +157,7 @@ class ScsSpec extends SparkSpec {
     val comp = repro.graph.ConnectedComponents.labels(r)
       .select("comp").distinct().count()
     assert(comp == 1)
-    assert(repro.graph.Bipartite.containsGid(r, gidU(3)))
+    assert(containsGid(r, gidU(3)))
   }
 
   test("expansion with epsilon=1 agrees (checks every component change)") {

@@ -1,6 +1,6 @@
 package repro.exp
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
 import repro.graph.{Bipartite, Offsets, Peel}
 
 /** Smoke tests of the experiment runners on miniature dataset specs — the
@@ -38,7 +38,7 @@ class TablesSpec extends SparkSpec {
     val core = Peel.core(edges, 2, 2)
     val qs = Tables.pickQueries(core, 3)
     assert(qs.nonEmpty && qs.size <= 3 && qs.distinct == qs)
-    qs.foreach(q => assert(Bipartite.containsGid(core, q)))
+    qs.foreach(q => assert(TestGraphs.containsGid(core, q)))
   }
 
   test("queryTimeTable produces positive timings and plausible ordering fields") {

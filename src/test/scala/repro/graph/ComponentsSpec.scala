@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.JobCounter
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.local.LocalBipartite
 import LocalBipartite.{gidL, gidU}
@@ -72,9 +73,24 @@ class ComponentsSpec extends SparkSpec {
   test("Bfs over filtered adjacency only returns qualifying edges") {
     val df = toDF(spark, fig2)
     val adj = Bipartite.sym(df).filter(col("w") >= 5.0)
-    val got = edgeSet(Bfs.subgraphFrom(spark, adj, gidU(3)))
+    val got = edgeSet(Bfs.subgraphFrom(adj, gidU(3)))
     val exp = LocalBipartite(fig2.filter(_._3 >= 5.0)).componentOf(gidU(3)).edges.toSet
     assert(got == exp)
     assert(got.forall(_._3 >= 5.0))
+  }
+
+  test("Bfs runs at most 3 Spark jobs per round") {
+    val ecc = 12 // of u1 on pathOf(6)
+    val adj = Bipartite.sym(toDF(spark, pathOf(6)))
+    val (got, jobs) = JobCounter.jobsIn(spark.sparkContext)(edgeSet(Bfs.subgraphFrom(adj, gidU(1))))
+    assert(got == pathOf(6).toSet)
+    assert(jobs <= 3 * (ecc + 1), s"$jobs jobs for ${ecc + 1} rounds")
+  }
+
+  test("Bfs rejects a traversal above the driver limit") {
+    val adj = Bipartite.sym(toDF(spark, pathOf(6))) // 13 vertices
+    val e = intercept[IllegalArgumentException](Bfs.subgraphFrom(adj, gidU(1), maxVisited = 10))
+    assert(e.getMessage.contains("11 or more vertices") && e.getMessage.contains("limit is 10 vertices"))
+    assert(edgeSet(Bfs.subgraphFrom(adj, gidU(1), maxVisited = 13)) == pathOf(6).toSet)
   }
 }

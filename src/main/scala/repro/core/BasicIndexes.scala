@@ -61,6 +61,7 @@ object BasicIndexes {
     * for I_bs^beta, tau = beta keeping offset >= alpha.
     */
   def query(idx: BasicIndex, qGid: Long, alpha: Int, beta: Int): DataFrame = {
+    requireAlphaBeta(alpha, beta)
     val spark = idx.entries.sparkSession
     val (tau, bound) = if (idx.isAlpha) (alpha, beta) else (beta, alpha)
     if (tau > idx.cap) return emptyEdges(spark)

@@ -23,10 +23,7 @@ object BicoreIndex {
   def build(edges0: DataFrame, cap0: Int = -1): BicoreIndex = {
     val edges = cp(normalize(edges0))
     val cap = if (cap0 > 0) cap0 else math.max(1, Offsets.degeneracy(edges))
-    val offA = Offsets.alphaOffsetsAll(edges, cap)
-    val offB = Offsets.betaOffsetsAll(edges, cap)
-    BicoreIndex(cp(
-      DeltaIndex.vertexFor(offA, "a").unionByName(DeltaIndex.vertexFor(offB, "b"))), cap)
+    BicoreIndex(cp(DeltaIndex.vertexFor(Offsets.alphaBetaOffsetsAll(edges, cap), cap)), cap)
   }
 
   /** I_v's materialized slice is exactly I_delta's vertex-offset table —
@@ -42,6 +39,7 @@ object BicoreIndex {
     * the whole edge list against the vertex set before the traversal.
     */
   def query(edges0: DataFrame, idx: BicoreIndex, qGid: Long, alpha: Int, beta: Int): DataFrame = {
+    requireAlphaBeta(alpha, beta)
     val spark = edges0.sparkSession
     val edges = normalize(edges0)
     val (part, tau, bound) =

@@ -17,8 +17,10 @@ object CommunitySearch {
   import Bipartite._
 
   /** Q_o: full online peeling followed by component extraction. */
-  def online(edges0: DataFrame, qGid: Long, alpha: Int, beta: Int): DataFrame =
+  def online(edges0: DataFrame, qGid: Long, alpha: Int, beta: Int): DataFrame = {
+    requireAlphaBeta(alpha, beta)
     Bfs.subgraphFrom(sym(Peel.core(edges0, alpha, beta)), qGid)
+  }
 
   /** Q_v: see [[BicoreIndex.query]]. */
   def viaBicore(edges: DataFrame, idx: BicoreIndex, qGid: Long, alpha: Int, beta: Int): DataFrame =

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.graph.{Bfs, Bipartite, Offsets}
 
@@ -44,51 +44,50 @@ final case class DeltaIndex(
 object DeltaIndex {
   import Bipartite._
 
-  /** Algorithm 3: compute delta, then all alpha-/beta-offsets for tau in
-    * [1, delta] (one vectorized fixpoint per part, not one per tau), and
-    * materialize both index parts with a single explode per part.
+  /** Algorithm 3: compute delta, then all alpha- and beta-offsets for tau
+    * in [1, delta] (one vectorized fixpoint for both parts, not one per tau
+    * and part), and materialize both index parts with a single explode.
     */
   def build(edges0: DataFrame): DeltaIndex = {
     val spark = edges0.sparkSession
     val edges = cp(normalize(edges0))
     val delta = Offsets.degeneracy(edges)
     if (delta == 0) return DeltaIndex(emptyEntries(spark), emptyVertexOffsets(spark), 0)
-    val adj = cp(sym(edges))
-    val offA = Offsets.alphaOffsetsAll(edges, delta) // gid, offs: array<int>
-    val offB = Offsets.betaOffsetsAll(edges, delta)
-
-    val entries = cp(
-      entriesFor(adj, offA, "a", strictDst = false)
-        .unionByName(entriesFor(adj, offB, "b", strictDst = true)))
-    val vOffsets = cp(vertexFor(offA, "a").unionByName(vertexFor(offB, "b")))
-    DeltaIndex(entries, vOffsets, delta)
+    val off = Offsets.alphaBetaOffsetsAll(edges, delta) // gid, offs: array<int> of 2 * delta
+    DeltaIndex(cp(entriesFor(sym(edges), off, delta)), cp(vertexFor(off, delta)), delta)
   }
 
-  /** Index entries for one part: per (directed edge, tau) keep rows whose
-    * owner is in the (tau,tau)-core (offset >= tau) and whose neighbor
-    * qualifies (>= tau for part a, > tau for part b).
+  /** The part ("a" for the first `taus` positions of a joint offsets array,
+    * "b" for the rest) and tau of array position `pos`.
     */
-  private[core] def entriesFor(adj: DataFrame, off: DataFrame, part: String,
-                               strictDst: Boolean): DataFrame = {
+  private def partAndTau(pos: Column, taus: Int): (Column, Column) =
+    (when(pos < taus, lit("a")).otherwise(lit("b")), (pos % taus + 1).cast("int"))
+
+  /** Index entries of both parts from joint offsets: per (directed edge,
+    * tau) keep rows whose owner is in the (tau,tau)-core (offset >= tau)
+    * and whose neighbor qualifies (>= tau for part a, > tau for part b).
+    */
+  private def entriesFor(adj: DataFrame, off: DataFrame, taus: Int): DataFrame = {
     val srcO = off.select(col("gid").as("src"), col("offs").as("srcOffs"))
     val dstO = off.select(col("gid").as("dst"), col("offs").as("dstOffs"))
     val ex = adj.join(srcO, Seq("src")).join(dstO, Seq("dst"))
       .select(col("src"), col("dst"), col(U), col(V), col(W),
         posexplode(arrays_zip(col("srcOffs"), col("dstOffs"))).as(Seq("pos", "z")))
-    val tau = (col("pos") + 1).cast("int")
+    val (part, tau) = partAndTau(col("pos"), taus)
     val srcOff = col("z.srcOffs")
     val dstOff = col("z.dstOffs")
-    val dstCond = if (strictDst) dstOff > tau else dstOff >= tau
+    val dstCond = when(col("pos") < taus, dstOff >= tau).otherwise(dstOff > tau)
     ex.filter(srcOff >= tau && dstCond)
-      .select(lit(part).as("part"), tau.as("tau"),
+      .select(part.as("part"), tau.as("tau"),
         col("src"), col("dst"), col(U), col(V), col(W), dstOff.as("off"))
   }
 
-  /** Per-(vertex, tau) offset rows from the array representation. */
-  private[core] def vertexFor(off: DataFrame, part: String): DataFrame =
+  /** Per-(part, tau, vertex) offset rows from joint offsets. */
+  private[core] def vertexFor(off: DataFrame, taus: Int): DataFrame = {
+    val (part, tau) = partAndTau(col("pos"), taus)
     off.select(col("gid"), posexplode(col("offs")).as(Seq("pos", "off")))
-      .select(lit(part).as("part"), (col("pos") + 1).cast("int").as("tau"),
-        col("gid"), col("off"))
+      .select(part.as("part"), tau.as("tau"), col("gid"), col("off"))
+  }
 
   /** The index is purely structural — offsets ignore weights — so an index
     * built on one weighting of a graph can be re-targeted to another by
@@ -110,6 +109,7 @@ object DeltaIndex {
     * Returns the canonical edges of C_{alpha,beta}(q).
     */
   def query(idx: DeltaIndex, qGid: Long, alpha: Int, beta: Int): DataFrame = {
+    requireAlphaBeta(alpha, beta)
     val spark = idx.entries.sparkSession
     val (part, tau, bound) =
       if (alpha <= beta) ("a", alpha, beta) else ("b", beta, alpha)

@@ -24,20 +24,20 @@ object Scs {
     * component first.
     */
   def peel(community: DataFrame, qGid: Long, alpha: Int, beta: Int): Option[DataFrame] =
-    onDriver(community)(_.peel(qGid, alpha, beta))
+    onDriver(community, alpha, beta)(_.peel(qGid, alpha, beta))
 
   /** SCS-Expand (Algorithm 5): expansion restricted to the
     * (alpha,beta)-community, checking at most when C* grew by `epsilon`.
     */
   def expand(community: DataFrame, qGid: Long, alpha: Int, beta: Int,
              epsilon: Double = 2.0): Option[DataFrame] =
-    onDriver(community)(_.expand(qGid, alpha, beta, epsilon))
+    onDriver(community, alpha, beta)(_.expand(qGid, alpha, beta, epsilon))
 
   /** SCS-Baseline: expansion over the whole graph — no two-step framework, so
     * the search space is q's component of G rather than C_{alpha,beta}(q).
     */
   def baseline(allEdges: DataFrame, qGid: Long, alpha: Int, beta: Int): Option[DataFrame] =
-    onDriver(allEdges)(_.expand(qGid, alpha, beta, 2.0))
+    onDriver(allEdges, alpha, beta)(_.expand(qGid, alpha, beta, 2.0))
 
   /** Collects `edges` as canonical rows, rejecting inputs above the driver
     * limit for `heapBytes` before they can exhaust the heap.
@@ -51,7 +51,9 @@ object Scs {
     rows
   }
 
-  private def onDriver(edges: DataFrame)(run: DriverGraph => Option[Array[Int]]): Option[DataFrame] = {
+  private def onDriver(edges: DataFrame, alpha: Int, beta: Int)(
+      run: DriverGraph => Option[Array[Int]]): Option[DataFrame] = {
+    requireAlphaBeta(alpha, beta)
     val rows = collectCapped(edges, Runtime.getRuntime.maxMemory)
     run(new DriverGraph(rows)).map { r =>
       edges.sparkSession.createDataFrame(r.toSeq.map(rows(_)).asJava, normalize(edges).schema)

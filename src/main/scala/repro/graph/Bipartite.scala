@@ -49,6 +49,10 @@ object Bipartite {
     if (edges.isEmpty) 0
     else degreesL(edges).agg(max("deg")).head.getInt(0)
 
+  /** Rejects community parameters outside the paper's alpha, beta >= 1. */
+  def requireAlphaBeta(alpha: Int, beta: Int): Unit =
+    require(alpha >= 1 && beta >= 1, s"alpha and beta must be >= 1, got alpha=$alpha, beta=$beta")
+
   final case class Stats(nU: Long, nL: Long, nE: Long)
 
   def stats(edges: DataFrame): Stats = {

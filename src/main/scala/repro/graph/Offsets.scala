@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Distributed (alpha,beta)-core offset computation.
@@ -18,208 +18,86 @@ import org.apache.spark.sql.functions._
   * Initialized from degree upper bounds, values decrease monotonically to the
   * greatest fixpoint, which equals the true offsets (any fixpoint induces a
   * valid (alpha,beta)-core membership witness and the true offsets are a
-  * fixpoint). Correctness is cross-checked against the definitional
-  * sequential oracle in the test suite.
+  * fixpoint). Every tau in [1, taus] and both the alpha and beta parts are
+  * independent positions of one array<int> value per vertex, iterated in
+  * lockstep by one [[Fixpoint]] run. Correctness is cross-checked against the
+  * definitional sequential oracle in the test suite.
   */
 object Offsets {
-  import Bipartite._
 
-  private val kthLargest = udf { (xs: Seq[Int], k: Int) =>
-    if (xs == null || xs.size < k) 0
-    else {
-      val s = xs.sorted(Ordering[Int].reverse)
-      s(k - 1)
-    }
-  }
+  /** A value above every offset: what a vertex's value is bounded by before
+    * its neighbors have reported.
+    */
+  private val Big = Int.MaxValue
 
-  private val hIndex = udf { (xs: Seq[Int]) =>
-    if (xs == null) 0
-    else {
-      val s = xs.sorted(Ordering[Int].reverse)
-      var h = 0
+  /** Position p of the new value is the rules(p)-th largest of the
+    * neighbors' values at p when rules(p) > 0 (0 if there are fewer), and
+    * their h-index when rules(p) = 0.
+    */
+  private val update = udf { (msgs: Seq[Seq[Int]], rules: Seq[Int]) =>
+    val d = msgs.size
+    val xs = msgs.map(_.toArray).toArray
+    val buf = new Array[Int](d)
+    rules.indices.map { p =>
       var i = 0
-      while (i < s.size && s(i) >= i + 1) { h = i + 1; i += 1 }
-      h
-    }
-  }
-
-  private val Big = 1 << 29
-
-  /** Core of the fixpoint: `conKey` names the constrained-side column (which
-    * must have >= k in-core neighbors), `freeKey` the other. Returns
-    * (constrainedValues(key, s), freeValues(key, s)).
-    */
-  private def sumOf(df: DataFrame): Long = {
-    val r = df.agg(sum(col("s").cast("long"))).head
-    if (r.isNullAt(0)) 0L else r.getLong(0)
-  }
-
-  private def fixpoint(edges: DataFrame, k: Int, conKey: String, freeKey: String,
-                       maxIter: Int): (DataFrame, DataFrame) = {
-    val degCon = edges.groupBy(conKey).agg(count(lit(1)).cast("int").as("deg"))
-    val degFree = edges.groupBy(freeKey).agg(count(lit(1)).cast("int").as("deg"))
-    var con = cp(degCon.select(col(conKey),
-      when(col("deg") >= k, lit(Big)).otherwise(lit(0)).as("s")))
-    var free = cp(degFree.select(col(freeKey), col("deg").as("s")))
-    // Values are pointwise monotone non-increasing from the degree-based upper
-    // bounds, so equal sums <=> pointwise fixpoint (cheaper than join-diffing).
-    var prevSum = sumOf(con) + sumOf(free)
-    var changed = prevSum > 0
-    var it = 0
-    while (changed) {
-      it += 1
-      require(it <= maxIter, s"Offsets fixpoint did not converge within $maxIter iterations")
-      val newCon = cp(
-        edges.join(free, Seq(freeKey))
-          .groupBy(conKey).agg(collect_list(col("s")).as("xs"))
-          .select(col(conKey), kthLargest(col("xs"), lit(k)).as("s")))
-      val newFree = cp(
-        edges.join(newCon, Seq(conKey))
-          .groupBy(freeKey).agg(collect_list(col("s")).as("xs"))
-          .select(col(freeKey), hIndex(col("xs")).as("s")))
-      val s = sumOf(newCon) + sumOf(newFree)
-      changed = s != prevSum
-      prevSum = s
-      con = newCon
-      free = newFree
-    }
-    (con, free)
-  }
-
-  /** alpha-offsets for a fixed alpha: DataFrame(gid: long, off: int) covering
-    * every vertex of G (off = 0 outside the (alpha,1)-core).
-    */
-  def alphaOffsets(edges0: DataFrame, alpha: Int, maxIter: Int = 100000): DataFrame = {
-    val edges = cp(normalize(edges0))
-    val (offU, offL) = fixpoint(edges, alpha, U, V, maxIter)
-    cp(offU.select(gidU(col(U)).as("gid"), col("s").as("off"))
-      .unionByName(offL.select(gidL(col(V)).as("gid"), col("s").as("off"))))
-  }
-
-  /** beta-offsets for a fixed beta: DataFrame(gid: long, off: int). */
-  def betaOffsets(edges0: DataFrame, beta: Int, maxIter: Int = 100000): DataFrame = {
-    val edges = cp(normalize(edges0))
-    val (offL, offU) = fixpoint(edges, beta, V, U, maxIter)
-    cp(offU.select(gidU(col(U)).as("gid"), col("s").as("off"))
-      .unionByName(offL.select(gidL(col(V)).as("gid"), col("s").as("off"))))
-  }
-
-  // ---------------------------------------------------------------------
-  // Vectorized all-tau offsets: one fixpoint over array<int> values instead
-  // of one fixpoint per tau. Each tau's component is an independent monotone
-  // fixpoint, so lockstep iteration converges to the same greatest fixpoint;
-  // this turns index construction from O(delta) Spark fixpoints into O(1).
-  // ---------------------------------------------------------------------
-
-  private val kthAll = udf { (xs: Seq[Seq[Int]], taus: Int) =>
-    val d = if (xs == null) 0 else xs.size
-    (1 to taus).map { t =>
-      if (d < t) 0
+      while (i < d) { buf(i) = xs(i)(p); i += 1 }
+      java.util.Arrays.sort(buf)
+      val k = rules(p)
+      if (k > 0) { if (d >= k) buf(d - k) else 0 }
       else {
-        val vals = xs.map(_(t - 1)).sorted(Ordering[Int].reverse)
-        vals(t - 1)
+        var h = 0
+        while (h < d && buf(d - h - 1) >= h + 1) h += 1
+        h
       }
     }.toArray
   }
 
-  private val hAll = udf { (xs: Seq[Seq[Int]], taus: Int) =>
-    (1 to taus).map { t =>
-      val s = if (xs == null) Seq.empty[Int] else xs.map(_(t - 1)).sorted(Ordering[Int].reverse)
-      var h = 0
-      var i = 0
-      while (i < s.size && s(i) >= i + 1) { h = i + 1; i += 1 }
-      h
-    }.toArray
+  /** The layer whose positions follow `rules`, starting from the update over
+    * `size(nbrs)` neighbors that all report Big.
+    */
+  private def layer(rules: Seq[Int]): Fixpoint.Layer = {
+    val deg = size(col("nbrs"))
+    Fixpoint.Layer(
+      init = transform(typedLit(rules), k =>
+        when(k === 0, deg).when(deg >= k, lit(Big)).otherwise(lit(0))),
+      step = update(col("msgs"), typedLit(rules)))
   }
 
-  private val initConArr = udf { (deg: Int, taus: Int) =>
-    (1 to taus).map(t => if (deg >= t) Big else 0).toArray
-  }
+  private def constrained(taus: Int): Seq[Int] = 1 to taus
+  private def free(taus: Int): Seq[Int] = Seq.fill(taus)(0)
 
-  private val arrSum = udf { (offs: Seq[Int]) => offs.map(_.toLong).sum }
-
-  private def sumOfArr(df: DataFrame): Long = {
-    val r = df.agg(sum(arrSum(col("offs")))).head
-    if (r.isNullAt(0)) 0L else r.getLong(0)
-  }
-
-  private def fixpointAll(edges: DataFrame, taus: Int, conKey: String, freeKey: String,
-                          maxIter: Int): (DataFrame, DataFrame) = {
-    val degCon = edges.groupBy(conKey).agg(count(lit(1)).cast("int").as("deg"))
-    val degFree = edges.groupBy(freeKey).agg(count(lit(1)).cast("int").as("deg"))
-    var con = cp(degCon.select(col(conKey), initConArr(col("deg"), lit(taus)).as("offs")))
-    var free = cp(degFree.select(col(freeKey),
-      array_repeat(col("deg"), taus).as("offs")))
-    var prevSum = sumOfArr(con) + sumOfArr(free)
-    var changed = prevSum > 0
-    var it = 0
-    while (changed) {
-      it += 1
-      require(it <= maxIter, s"Offsets fixpointAll did not converge within $maxIter iterations")
-      val newCon = cp(
-        edges.join(free, Seq(freeKey))
-          .groupBy(conKey).agg(collect_list(col("offs")).as("xs"))
-          .select(col(conKey), kthAll(col("xs"), lit(taus)).as("offs")))
-      val newFree = cp(
-        edges.join(newCon, Seq(conKey))
-          .groupBy(freeKey).agg(collect_list(col("offs")).as("xs"))
-          .select(col(freeKey), hAll(col("xs"), lit(taus)).as("offs")))
-      val s = sumOfArr(newCon) + sumOfArr(newFree)
-      changed = s != prevSum
-      prevSum = s
-      con = newCon
-      free = newFree
-    }
-    (con, free)
-  }
+  private def offsets(edges: DataFrame, upper: Seq[Int], lower: Seq[Int]): DataFrame =
+    Fixpoint.run(edges, layer(upper), layer(lower)).withColumnRenamed("s", "offs")
 
   /** All alpha-offsets for tau in [1, taus] at once:
-    * DataFrame(gid: long, offs: array<int>) with offs[t-1] = s_a(gid, t).
+    * DataFrame(gid: long, offs: array<int>) with offs[t-1] = s_a(gid, t),
+    * covering every vertex of G (0 outside the (t,1)-core).
     */
-  def alphaOffsetsAll(edges0: DataFrame, taus: Int, maxIter: Int = 100000): DataFrame = {
-    val edges = cp(normalize(edges0))
-    val (offU, offL) = fixpointAll(edges, taus, U, V, maxIter)
-    cp(offU.select(gidU(col(U)).as("gid"), col("offs"))
-      .unionByName(offL.select(gidL(col(V)).as("gid"), col("offs"))))
-  }
+  def alphaOffsetsAll(edges: DataFrame, taus: Int): DataFrame =
+    offsets(edges, constrained(taus), free(taus))
 
   /** All beta-offsets for tau in [1, taus] at once. */
-  def betaOffsetsAll(edges0: DataFrame, taus: Int, maxIter: Int = 100000): DataFrame = {
-    val edges = cp(normalize(edges0))
-    val (offL, offU) = fixpointAll(edges, taus, V, U, maxIter)
-    cp(offU.select(gidU(col(U)).as("gid"), col("offs"))
-      .unionByName(offL.select(gidL(col(V)).as("gid"), col("offs"))))
-  }
+  def betaOffsetsAll(edges: DataFrame, taus: Int): DataFrame =
+    offsets(edges, free(taus), constrained(taus))
+
+  /** Both parts in one fixpoint: DataFrame(gid: long, offs: array<int>) with
+    * offs[t-1] = s_a(gid, t) and offs[taus+t-1] = s_b(gid, t).
+    */
+  def alphaBetaOffsetsAll(edges: DataFrame, taus: Int): DataFrame =
+    offsets(edges, constrained(taus) ++ free(taus), free(taus) ++ constrained(taus))
 
   /** Unipartite core numbers over the gid-encoded graph. The (tau,tau)-core of
     * a bipartite graph is exactly the tau-core of the graph with the
     * bipartition ignored, so the degeneracy delta is the max core number
     * (as the paper notes, citing [21]).
     */
-  def coreNumbers(edges0: DataFrame, maxIter: Int = 100000): DataFrame = {
-    val adj = cp(sym(normalize(edges0)).select(col("src"), col("dst")))
-    var vals = cp(adj.groupBy("src").agg(count(lit(1)).cast("int").as("s"))
-      .select(col("src").as("gid"), col("s")))
-    var prevSum = sumOf(vals)
-    var changed = prevSum > 0
-    var it = 0
-    while (changed) {
-      it += 1
-      require(it <= maxIter, s"coreNumbers did not converge within $maxIter iterations")
-      val nxt = cp(
-        adj.join(vals, adj("dst") === vals("gid"))
-          .groupBy("src").agg(collect_list(col("s")).as("xs"))
-          .select(col("src").as("gid"), hIndex(col("xs")).as("s")))
-      val s = sumOf(nxt)
-      changed = s != prevSum
-      prevSum = s
-      vals = nxt
-    }
-    vals.withColumnRenamed("s", "core")
-  }
+  def coreNumbers(edges: DataFrame): DataFrame =
+    Fixpoint.run(edges, layer(free(1)), layer(free(1)))
+      .select(col("gid"), element_at(col("s"), 1).as("core"))
 
   /** Degeneracy: the largest tau with a nonempty (tau,tau)-core. */
-  def degeneracy(edges: DataFrame): Int =
-    if (edges.isEmpty) 0
-    else coreNumbers(edges).agg(max("core")).head.getInt(0)
+  def degeneracy(edges: DataFrame): Int = {
+    val r = coreNumbers(edges).agg(max("core")).head
+    if (r.isNullAt(0)) 0 else r.getInt(0)
+  }
 }

@@ -79,6 +79,24 @@ class CommunitySearchSpec extends SparkSpec {
     assert(outside > 0, "no query started outside the core")
   }
 
+  test("alpha or beta below 1 is rejected at every query entry point") {
+    val basic = BasicIndexes.build(fig2Df, isAlpha = true, cap0 = 1)
+    val entryPoints: Seq[(String, (Int, Int) => Any)] = Seq(
+      "Q_o" -> ((a, b) => CommunitySearch.online(fig2Df, gidU(3), a, b)),
+      "Q_v" -> ((a, b) => BicoreIndex.query(fig2Df, iV, gidU(3), a, b)),
+      "Q_opt" -> ((a, b) => DeltaIndex.query(iDelta, gidU(3), a, b)),
+      "I_bs" -> ((a, b) => BasicIndexes.query(basic, gidU(3), a, b)),
+      "SCS-Peel" -> ((a, b) => Scs.peel(fig2Df, gidU(3), a, b)),
+      "SCS-Expand" -> ((a, b) => Scs.expand(fig2Df, gidU(3), a, b)),
+      "SCS-Baseline" -> ((a, b) => Scs.baseline(fig2Df, gidU(3), a, b)))
+    for ((name, run) <- entryPoints; (a, b) <- Seq((0, 2), (2, 0), (0, 0), (-1, 1))) {
+      val e = intercept[IllegalArgumentException](run(a, b))
+      assert(e.getMessage.contains(s"alpha=$a, beta=$b"), s"$name ($a,$b)")
+    }
+    // (1,1) is accepted everywhere: u3 is in fig2's (1,1)-community.
+    assert(edgeSet(DeltaIndex.query(iDelta, gidU(3), 1, 1)) == fig2.toSet)
+  }
+
   test("two-block graph: community stays within q's component") {
     val cut = twoBlocks.filter(_._3 != 1.0)
     val df = toDF(spark, cut)

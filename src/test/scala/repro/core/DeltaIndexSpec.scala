@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.JobCounter
 import repro.{SparkSpec, TestGraphs}
 import repro.graph.Bipartite
 import repro.local.LocalBipartite
@@ -123,5 +124,17 @@ class DeltaIndexSpec extends SparkSpec {
     val idx = DeltaIndex.build(fig2Df.limit(0))
     assert(idx.delta == 0)
     assert(idx.entryCount == 0)
+  }
+
+  test("build on a cascade-heavy path runs at most a third of the join-loop build's jobs") {
+    // pathOf(8) peels from both ends one vertex per round. The build with
+    // one join-then-groupBy fixpoint per offsets part, two sum jobs per
+    // round for its convergence test and alpha/beta run one after the other
+    // ran 139 jobs here; the bound is 139 / 3.
+    val edges = pathOf(8)
+    val (idx, jobs) = JobCounter.jobsIn(spark.sparkContext)(DeltaIndex.build(toDF(spark, edges)))
+    assert(idx.delta == 1)
+    assert(idx.entries.filter(col("part") === "a" && col("tau") === 1).count() == 2L * edges.size)
+    assert(jobs <= 46, s"$jobs jobs")
   }
 }

@@ -1,8 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-import repro.graph.{Bfs, Bipartite, Offsets}
+import repro.graph.{Bipartite, Offsets}
 
 /** The basic indexes I_bs^alpha / I_bs^beta (paper §III-A, Algorithm 1).
   *
@@ -24,36 +24,21 @@ final case class BasicIndex(
 object BasicIndexes {
   import Bipartite._
 
-  /** Build I_bs^alpha (isAlpha = true) or I_bs^beta up to tau <= cap. */
+  /** Build I_bs^alpha (isAlpha = true) or I_bs^beta up to tau <= cap. Index
+    * entries keep every neighbor in the (tau,1)-core (resp. (1,tau)-core).
+    */
   def build(edges0: DataFrame, isAlpha: Boolean, cap0: Int = -1): BasicIndex = {
     val edges = cp(normalize(edges0))
     val cap =
       if (cap0 > 0) cap0
       else if (isAlpha) alphaMax(edges)
       else betaMax(edges)
-    val adj = cp(sym(edges))
-    if (cap < 1) {
-      val emptyV = edges.select(lit(0).as("tau"), gidU(col(U)).as("gid"), lit(0).as("off")).limit(0)
-      val emptyE = adj.select(lit(0).as("tau"), col("src"), col("dst"),
-        col(U), col(V), col(W), lit(0).as("off")).limit(0)
-      return BasicIndex(emptyE, emptyV, isAlpha, cap)
-    }
     val off =
       if (isAlpha) Offsets.alphaOffsetsAll(edges, cap)
       else Offsets.betaOffsetsAll(edges, cap)
-    val srcO = off.select(col("gid").as("src"), col("offs").as("srcOffs"))
-    val dstO = off.select(col("gid").as("dst"), col("offs").as("dstOffs"))
-    val ex = adj.join(srcO, Seq("src")).join(dstO, Seq("dst"))
-      .select(col("src"), col("dst"), col(U), col(V), col(W),
-        posexplode(arrays_zip(col("srcOffs"), col("dstOffs"))).as(Seq("pos", "z")))
-    val entries = cp(ex
-      .filter(col("z.srcOffs") >= 1 && col("z.dstOffs") >= 1)
-      .select((col("pos") + 1).cast("int").as("tau"), col("src"), col("dst"),
-        col(U), col(V), col(W), col("z.dstOffs").as("off")))
-    val vertexOffsets = cp(off
-      .select(col("gid"), posexplode(col("offs")).as(Seq("pos", "off")))
-      .select((col("pos") + 1).cast("int").as("tau"), col("gid"), col("off")))
-    BasicIndex(entries, vertexOffsets, isAlpha, cap)
+    val byTau = (pos: Column) => Seq((pos + 1).cast("int").as("tau"))
+    val entries = DeltaIndex.entriesFor(sym(edges), off, byTau, (_, srcOff, dstOff) => srcOff >= 1 && dstOff >= 1)
+    BasicIndex(cp(entries), cp(DeltaIndex.vertexFor(off, byTau)), isAlpha, cap)
   }
 
   /** Query C_{alpha,beta}(q) from a basic index: for I_bs^alpha, BFS over the
@@ -62,16 +47,8 @@ object BasicIndexes {
     */
   def query(idx: BasicIndex, qGid: Long, alpha: Int, beta: Int): DataFrame = {
     requireAlphaBeta(alpha, beta)
-    val spark = idx.entries.sparkSession
     val (tau, bound) = if (idx.isAlpha) (alpha, beta) else (beta, alpha)
-    if (tau > idx.cap) return emptyEdges(spark)
-    val qOffRows = idx.vertexOffsets
-      .filter(col("tau") === tau && col("gid") === qGid).select("off").collect()
-    if (qOffRows.isEmpty || qOffRows(0).getInt(0) < bound) return emptyEdges(spark)
-    val adj = idx.entries
-      .filter(col("tau") === tau && col("off") >= bound)
-      .select(col("src"), col("dst"), col(U), col(V), col(W))
-    Bfs.subgraphFrom(adj, qGid)
+    DeltaIndex.sliceQuery(idx.entries, idx.vertexOffsets, idx.cap, qGid, tau, bound)
   }
 }
 

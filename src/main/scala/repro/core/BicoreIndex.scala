@@ -23,7 +23,7 @@ object BicoreIndex {
   def build(edges0: DataFrame, cap0: Int = -1): BicoreIndex = {
     val edges = cp(normalize(edges0))
     val cap = if (cap0 > 0) cap0 else math.max(1, Offsets.degeneracy(edges))
-    BicoreIndex(cp(DeltaIndex.vertexFor(Offsets.alphaBetaOffsetsAll(edges, cap), cap)), cap)
+    BicoreIndex(cp(DeltaIndex.vertexFor(Offsets.alphaBetaOffsetsAll(edges, cap), DeltaIndex.partAndTau(cap))), cap)
   }
 
   /** I_v's materialized slice is exactly I_delta's vertex-offset table —
@@ -40,18 +40,12 @@ object BicoreIndex {
     */
   def query(edges0: DataFrame, idx: BicoreIndex, qGid: Long, alpha: Int, beta: Int): DataFrame = {
     requireAlphaBeta(alpha, beta)
-    val spark = edges0.sparkSession
-    val edges = normalize(edges0)
-    val (part, tau, bound) =
-      if (alpha <= beta) ("a", alpha, beta) else ("b", beta, alpha)
-    if (tau > idx.cap) return emptyEdges(spark)
-    val members = idx.vertexOffsets
-      .filter(col("part") === part && col("tau") === tau && col("off") >= bound)
-      .select(col("gid"))
-    val qIn = !members.filter(col("gid") === qGid).isEmpty
-    if (!qIn) return emptyEdges(spark)
+    val (part, tau, bound) = DeltaIndex.dispatch(alpha, beta)
+    val offsets = idx.vertexOffsets.filter(col("part") === part)
+    if (!DeltaIndex.inCore(offsets, idx.cap, qGid, tau, bound)) return emptyEdges(edges0.sparkSession)
+    val members = offsets.filter(col("tau") === tau && col("off") >= bound).select(col("gid"))
     // Q_v's extra work: every edge of G is examined against the vertex set.
-    val coreEdges = edges
+    val coreEdges = normalize(edges0)
       .join(members.select(col("gid").as("ugid")), gidU(col(U)) === col("ugid"), "left_semi")
       .join(members.select(col("gid").as("lgid")), gidL(col(V)) === col("lgid"), "left_semi")
     Bfs.subgraphFrom(sym(coreEdges), qGid)

@@ -9,7 +9,8 @@ import repro.graph.{Bfs, Bipartite, Peel}
   *            extract q's component (Ding et al. CIKM'17 [16]);
   *  - Q_v   — bicore-index based: vertex set from I_v, traversal over the
   *            original adjacency (Liu et al. WWW'19 [15]);
-  *  - Q_opt — I_delta based, touching only the answer's edges (this paper).
+  *  - Q_opt — I_delta based, a BFS from q over one (part, tau,
+  *            off >= bound) slice of the index (this paper).
   *
   * All return the canonical edge list (u, v, w) of C_{alpha,beta}(q).
   */

@@ -12,10 +12,12 @@ import repro.graph.{Bfs, Bipartite, Offsets}
   *   - part "b" (I_delta^beta): adjacency of every vertex in the
   *     (tau,tau)-core, keeping neighbors with beta-offset s_b(·,tau) > tau.
   *
-  * The paper stores sorted adjacency lists with early termination; the
-  * dataflow rendition stores flat entry rows `(part, tau, src, dst, u, v, w,
-  * off)` and the sort + early-exit becomes the predicate `off >= bound`
-  * applied inside the BFS join, so only edges of the answer are touched.
+  * The paper stores sorted adjacency lists and stops reading a list at the
+  * first neighbor below the bound. The dataflow rendition stores flat entry
+  * rows `(part, tau, src, dst, u, v, w, off)`, and the sort + early exit
+  * becomes the filter `off >= bound` on the (part, tau) slice. Every BFS
+  * round and the final semi-join scan that whole filtered slice, not only the
+  * answer's edges.
   */
 final case class DeltaIndex(
     entries: DataFrame,       // part, tau, src, dst, u, v, w, off
@@ -24,21 +26,6 @@ final case class DeltaIndex(
 
   /** Number of stored adjacency entries (the index-size metric of Fig 11). */
   def entryCount: Long = entries.count()
-
-  /** s_a(gid, tau) — 0 when the vertex is outside the (tau,1)-core. */
-  def alphaOffsetOf(gid: Long, tau: Int): Int =
-    offsetOf("a", gid, tau)
-
-  /** s_b(gid, tau) — 0 when the vertex is outside the (1,tau)-core. */
-  def betaOffsetOf(gid: Long, tau: Int): Int =
-    offsetOf("b", gid, tau)
-
-  private def offsetOf(part: String, gid: Long, tau: Int): Int = {
-    val r = vertexOffsets
-      .filter(col("part") === part && col("tau") === tau && col("gid") === gid)
-      .select("off").collect()
-    if (r.isEmpty) 0 else r(0).getInt(0)
-  }
 }
 
 object DeltaIndex {
@@ -49,45 +36,46 @@ object DeltaIndex {
     * and part), and materialize both index parts with a single explode.
     */
   def build(edges0: DataFrame): DeltaIndex = {
-    val spark = edges0.sparkSession
     val edges = cp(normalize(edges0))
     val delta = Offsets.degeneracy(edges)
-    if (delta == 0) return DeltaIndex(emptyEntries(spark), emptyVertexOffsets(spark), 0)
     val off = Offsets.alphaBetaOffsetsAll(edges, delta) // gid, offs: array<int> of 2 * delta
-    DeltaIndex(cp(entriesFor(sym(edges), off, delta)), cp(vertexFor(off, delta)), delta)
+    def keep(pos: Column, srcOff: Column, dstOff: Column): Column = {
+      val tau = tauAt(pos, delta)
+      srcOff >= tau && when(pos < delta, dstOff >= tau).otherwise(dstOff > tau)
+    }
+    DeltaIndex(cp(entriesFor(sym(edges), off, partAndTau(delta), keep)),
+      cp(vertexFor(off, partAndTau(delta))), delta)
   }
 
-  /** The part ("a" for the first `taus` positions of a joint offsets array,
-    * "b" for the rest) and tau of array position `pos`.
+  /** Where position `pos` of a joint offsets array lands: part "a" for the
+    * first `taus` positions, "b" for the rest, and its tau.
     */
-  private def partAndTau(pos: Column, taus: Int): (Column, Column) =
-    (when(pos < taus, lit("a")).otherwise(lit("b")), (pos % taus + 1).cast("int"))
+  private[core] def partAndTau(taus: Int)(pos: Column): Seq[Column] =
+    Seq(when(pos < taus, lit("a")).otherwise(lit("b")).as("part"), tauAt(pos, taus).as("tau"))
 
-  /** Index entries of both parts from joint offsets: per (directed edge,
-    * tau) keep rows whose owner is in the (tau,tau)-core (offset >= tau)
-    * and whose neighbor qualifies (>= tau for part a, > tau for part b).
+  private def tauAt(pos: Column, taus: Int): Column = (pos % taus + 1).cast("int")
+
+  /** Index entries of the symmetric adjacency `adj` from per-vertex offset
+    * arrays `off` (gid, offs): one row per (directed edge, array position)
+    * where `keep(pos, srcOff, dstOff)` holds, keyed by `keys(pos)`, carrying
+    * the neighbor's offset as `off`. Algorithms 1 and 3 differ only in `keep`.
     */
-  private def entriesFor(adj: DataFrame, off: DataFrame, taus: Int): DataFrame = {
+  private[core] def entriesFor(adj: DataFrame, off: DataFrame, keys: Column => Seq[Column],
+                               keep: (Column, Column, Column) => Column): DataFrame = {
     val srcO = off.select(col("gid").as("src"), col("offs").as("srcOffs"))
     val dstO = off.select(col("gid").as("dst"), col("offs").as("dstOffs"))
-    val ex = adj.join(srcO, Seq("src")).join(dstO, Seq("dst"))
+    adj.join(srcO, Seq("src")).join(dstO, Seq("dst"))
       .select(col("src"), col("dst"), col(U), col(V), col(W),
         posexplode(arrays_zip(col("srcOffs"), col("dstOffs"))).as(Seq("pos", "z")))
-    val (part, tau) = partAndTau(col("pos"), taus)
-    val srcOff = col("z.srcOffs")
-    val dstOff = col("z.dstOffs")
-    val dstCond = when(col("pos") < taus, dstOff >= tau).otherwise(dstOff > tau)
-    ex.filter(srcOff >= tau && dstCond)
-      .select(part.as("part"), tau.as("tau"),
-        col("src"), col("dst"), col(U), col(V), col(W), dstOff.as("off"))
+      .filter(keep(col("pos"), col("z.srcOffs"), col("z.dstOffs")))
+      .select(keys(col("pos")) ++ Seq(col("src"), col("dst"), col(U), col(V), col(W),
+        col("z.dstOffs").as("off")): _*)
   }
 
-  /** Per-(part, tau, vertex) offset rows from joint offsets. */
-  private[core] def vertexFor(off: DataFrame, taus: Int): DataFrame = {
-    val (part, tau) = partAndTau(col("pos"), taus)
+  /** Per-(position, vertex) offset rows keyed by `keys(pos)`: (keys, gid, off). */
+  private[core] def vertexFor(off: DataFrame, keys: Column => Seq[Column]): DataFrame =
     off.select(col("gid"), posexplode(col("offs")).as(Seq("pos", "off")))
-      .select(part.as("part"), tau.as("tau"), col("gid"), col("off"))
-  }
+      .select(keys(col("pos")) ++ Seq(col("gid"), col("off")): _*)
 
   /** The index is purely structural — offsets ignore weights — so an index
     * built on one weighting of a graph can be re-targeted to another by
@@ -110,34 +98,38 @@ object DeltaIndex {
     */
   def query(idx: DeltaIndex, qGid: Long, alpha: Int, beta: Int): DataFrame = {
     requireAlphaBeta(alpha, beta)
-    val spark = idx.entries.sparkSession
-    val (part, tau, bound) =
-      if (alpha <= beta) ("a", alpha, beta) else ("b", beta, alpha)
-    if (tau > idx.delta) return emptyEdges(spark)
-    val qOff =
-      if (part == "a") idx.alphaOffsetOf(qGid, tau) else idx.betaOffsetOf(qGid, tau)
-    if (qOff < bound) return emptyEdges(spark)
-    val adj = idx.entries
-      .filter(col("part") === part && col("tau") === tau && col("off") >= bound)
-      .select(col("src"), col("dst"), col(U), col(V), col(W))
-    Bfs.subgraphFrom(adj, qGid)
+    val (part, tau, bound) = dispatch(alpha, beta)
+    val inPart = col("part") === part
+    sliceQuery(idx.entries.filter(inPart), idx.vertexOffsets.filter(inPart), idx.delta, qGid, tau, bound)
   }
 
-  private def emptyEntries(spark: org.apache.spark.sql.SparkSession): DataFrame = {
-    import org.apache.spark.sql.types._
-    spark.createDataFrame(spark.sparkContext.emptyRDD[org.apache.spark.sql.Row],
-      StructType(Seq(
-        StructField("part", StringType), StructField("tau", IntegerType),
-        StructField("src", LongType), StructField("dst", LongType),
-        StructField(U, LongType), StructField(V, LongType), StructField(W, DoubleType),
-        StructField("off", IntegerType))))
+  /** The (part, tau, bound) that holds C_{alpha,beta}: tau = min(alpha, beta)
+    * in the part of the smaller parameter, bounded by the other one.
+    */
+  private[core] def dispatch(alpha: Int, beta: Int): (String, Int, Int) =
+    if (alpha <= beta) ("a", alpha, beta) else ("b", beta, alpha)
+
+  /** The offset of `gid` at `tau` in a vertex-offset table of one part (0
+    * when the vertex has no row there).
+    */
+  private[core] def offsetOf(vertexOffsets: DataFrame, gid: Long, tau: Int): Int = {
+    val r = vertexOffsets.filter(col("tau") === tau && col("gid") === gid).select("off").collect()
+    if (r.isEmpty) 0 else r(0).getInt(0)
   }
 
-  private def emptyVertexOffsets(spark: org.apache.spark.sql.SparkSession): DataFrame = {
-    import org.apache.spark.sql.types._
-    spark.createDataFrame(spark.sparkContext.emptyRDD[org.apache.spark.sql.Row],
-      StructType(Seq(
-        StructField("part", StringType), StructField("tau", IntegerType),
-        StructField("gid", LongType), StructField("off", IntegerType))))
-  }
+  /** Whether q is in the core that holds C_{alpha,beta}(q), read from one
+    * part's vertex offsets materialized up to `cap`: tau <= cap and q's
+    * offset at tau reaches `bound`.
+    */
+  private[core] def inCore(vertexOffsets: DataFrame, cap: Int, qGid: Long, tau: Int, bound: Int): Boolean =
+    tau <= cap && offsetOf(vertexOffsets, qGid, tau) >= bound
+
+  /** Algorithm 2 over one index part: empty unless q is in the core, else
+    * the BFS from q over the entries at tau with off >= bound.
+    */
+  private[core] def sliceQuery(entries: DataFrame, vertexOffsets: DataFrame, cap: Int,
+                               qGid: Long, tau: Int, bound: Int): DataFrame =
+    if (!inCore(vertexOffsets, cap, qGid, tau, bound)) emptyEdges(entries.sparkSession)
+    else Bfs.subgraphFrom(entries.filter(col("tau") === tau && col("off") >= bound)
+      .select(col("src"), col("dst"), col(U), col(V), col(W)), qGid)
 }

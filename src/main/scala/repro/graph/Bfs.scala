@@ -5,11 +5,13 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Frontier-expansion breadth-first traversal — the dataflow rendition of the
-  * paper's Algorithm 2 query loop. Index-based queries pass the pre-filtered
-  * index entries so only community edges are ever touched (the "optimal
-  * retrieval" property). The edges stay in Spark and the vertex ids live on
-  * the driver: each round is one broadcast semi-join of the adjacency against
-  * the frontier, collecting `dst`, with no shuffle or checkpoint.
+  * paper's Algorithm 2 query loop. Index-based queries pass the filtered
+  * index slice, so only community edges are returned; but each round and the
+  * final semi-join scan the whole adjacency they are given, not only the
+  * answer's edges, so the paper's "optimal retrieval" read cost does not
+  * hold here. The edges stay in Spark and the vertex ids live on the driver:
+  * each round is one broadcast semi-join of the adjacency against the
+  * frontier, collecting `dst`, with no shuffle or checkpoint.
   */
 object Bfs {
   import Bipartite._

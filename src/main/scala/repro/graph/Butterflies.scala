@@ -30,16 +30,15 @@ object Butterflies {
   }
 
   /** k-bitruss: maximal subgraph where every edge lies in >= k butterflies,
-    * by iterated support recomputation and filtering.
+    * by iterated support recomputation and filtering. Each round keeps a
+    * subset of the edges and the loop stops when it keeps them all, so it
+    * runs at most |E| + 1 rounds.
     */
-  def bitruss(edges0: DataFrame, k: Long, maxIter: Int = 100000): DataFrame = {
+  def bitruss(edges0: DataFrame, k: Long): DataFrame = {
     var edges = cp(normalize(edges0))
     var n = edges.count()
     var converged = n == 0
-    var it = 0
     while (!converged) {
-      it += 1
-      require(it <= maxIter, s"bitruss did not converge within $maxIter iterations")
       val sup = support(edges)
       val keep = cp(edges.join(sup.filter(col("sup") >= k).select(U, V), Seq(U, V), "left_semi"))
       val m = keep.count()

@@ -3,8 +3,8 @@ package repro.graph
 import org.apache.spark.sql.{Column, DataFrame, Observation}
 import org.apache.spark.sql.functions._
 
-/** The message-passing fixpoint shared by the offsets, the core numbers and
-  * the component labels.
+/** The message-passing fixpoint shared by the offsets, the core numbers, the
+  * component labels and the (alpha, beta)-core peel.
   *
   * Every vertex of a bipartite edge list is a row `(gid, nbrs: array<long>,
   * s)` holding its neighbors and its current value. A half-step makes one
@@ -19,7 +19,7 @@ import org.apache.spark.sql.functions._
   * turn computed from those same receiving values: both layers are at a
   * fixpoint. Termination is the caller's condition: the offset and core
   * updates only lower non-negative integers, the min-label update only
-  * lowers gids.
+  * lowers gids, the peel's alive bit only turns off.
   */
 private[graph] object Fixpoint {
   import Bipartite._

@@ -4,10 +4,10 @@ import scala.collection.mutable
 
 /** Sequential significant (alpha,beta)-community search algorithms.
   *
-  * `semantic` is the definitional oracle; `peel`, `expand`, `binary` and
-  * `baseline` are faithful renditions of the paper's Algorithms 4/5, the
-  * binary-search remark, and the SCS-Baseline comparator. All five must
-  * return the same (unique, per Lemma 1) community.
+  * `semantic` is the definitional oracle; `peel`, `expand` and `binary` are
+  * faithful renditions of the paper's Algorithms 4/5 and the binary-search
+  * remark, and `expand` over the whole graph is the SCS-Baseline comparator.
+  * All of them must return the same (unique, per Lemma 1) community.
   */
 object LocalScs {
   import LocalBipartite._
@@ -145,8 +145,4 @@ object LocalScs {
     }
     tryCheck(force = true) // all edges inserted: the final check is exact
   }
-
-  /** SCS-Baseline: expansion over the entire graph (no two-step framework). */
-  def baseline(g: LocalBipartite, qGid: Long, alpha: Int, beta: Int): Option[LocalBipartite] =
-    expand(g, qGid, alpha, beta)
 }

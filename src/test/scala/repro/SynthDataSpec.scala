@@ -3,9 +3,7 @@ package repro
 import org.apache.spark.sql.functions._
 import repro.graph.Bipartite
 
-/** The bipartite generator and the TPC-H-lite-derived purchase graph, with
-  * DuckDB equivalence on the derivation query.
-  */
+/** The skewed bipartite generator: id ranges, deduplication, hubs. */
 class SynthDataSpec extends SparkSpec {
 
   test("bipartite generator: ids within range, no duplicate edges") {
@@ -28,30 +26,5 @@ class SynthDataSpec extends SparkSpec {
   test("zero skew falls back to uniform endpoints") {
     val g = Bipartite.cp(SynthData.bipartite(spark, 100, 100, 1000, 0.0, 0.0, seed = 4))
     assert(Bipartite.stats(g).nU > 80) // uniform sampling covers most ids
-  }
-
-  test("tpch purchase graph matches the DuckDB derivation") {
-    val li = Bipartite.cp(SynthData.lineitem(spark, 0.002))
-      .select("l_orderkey", "l_partkey")
-    val ord = Bipartite.cp(SynthData.orders(spark, 0.002))
-      .select("o_orderkey", "o_custkey")
-    val g = li.join(ord, li("l_orderkey") === ord("o_orderkey"))
-      .groupBy(col("o_custkey").as("u"), col("l_partkey").as("v"))
-      .agg(count(lit(1)).cast("double").as("w"))
-    Oracle.assertEquivalent(
-      g,
-      """SELECT CAST(o_custkey AS BIGINT) AS u, CAST(l_partkey AS BIGINT) AS v,
-                CAST(count(*) AS DOUBLE) AS w
-         FROM li JOIN ord ON CAST(li.l_orderkey AS BIGINT) = CAST(ord.o_orderkey AS BIGINT)
-         GROUP BY 1, 2""",
-      "li" -> li, "ord" -> ord)
-  }
-
-  test("tpch purchase graph is a valid weighted bipartite edge list") {
-    val g = Bipartite.cp(SynthData.tpchPurchaseGraph(spark, 0.002))
-    val st = Bipartite.stats(g)
-    assert(st.nE > 0)
-    assert(g.filter(col("w") < 1.0).isEmpty)
-    assert(g.select("u", "v").distinct().count() == st.nE)
   }
 }

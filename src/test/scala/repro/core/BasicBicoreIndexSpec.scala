@@ -14,6 +14,40 @@ class BasicBicoreIndexSpec extends SparkSpec {
   private lazy val fig2Df = toDF(spark, fig2)
   private lazy val fig2Local = LocalBipartite(fig2)
 
+  /** The other fixtures and five random graphs, two sparse and three with
+    * two dense blocks joined by a path that no core with alpha or beta >= 3
+    * keeps, so their cores split into several components.
+    */
+  private lazy val queryGraphs: Seq[(String, Vector[(Long, Long, Double)])] =
+    Seq("k33Pendant" -> k33Pendant, "twoBlocks" -> twoBlocks, "path" -> path, "star" -> star) ++
+      Seq(1, 4).map(seed => s"sparse$seed" -> random(9, 9, 0.22, seed)) ++
+      Seq(2, 5, 8).map(seed => s"blocks$seed" -> (random(4, 4, 0.75, seed) ++
+        random(4, 4, 0.75, seed + 100).map { case (u, v, w) => (u + 4, v + 4, w) } ++
+        Vector((9L, 1L, 1.0), (9L, 9L, 1.0), (5L, 9L, 1.0))))
+
+  /** I_bs queries on [[queryGraphs]] at one alpha < beta and one alpha > beta
+    * pair per graph, from a core vertex (on alternating layers) and from a
+    * vertex outside the core, against the oracle community.
+    */
+  private def checkQueryGraphs(isAlpha: Boolean): Unit = {
+    val params = Seq((1, 2), (3, 1), (2, 3), (2, 1), (1, 3), (3, 2))
+    var splitCores = 0
+    for (((name, edges), i) <- queryGraphs.zipWithIndex) {
+      val idx = BasicIndexes.build(toDF(spark, edges), isAlpha)
+      val g = LocalBipartite(edges)
+      for ((a, b) <- Seq(params(2 * i % 6), params((2 * i + 1) % 6))) {
+        val core = g.core(a, b)
+        if (core.components.values.toSet.size > 1) splitCores += 1
+        val inside = if (i % 2 == 0) core.upperVertices else core.lowerVertices
+        for (q <- inside.toSeq.sorted.take(1) ++ (g.vertices -- core.vertices).toSeq.sorted.take(1)) {
+          val got = edgeSet(BasicIndexes.query(idx, q, a, b))
+          assert(got == g.community(q, a, b).edges.toSet, s"$name q=$q (a,b)=($a,$b)")
+        }
+      }
+    }
+    assert(splitCores > 0, "no query ran on a core with several components")
+  }
+
   test("I_bs^alpha query equals the community for alpha within cap") {
     val idx = BasicIndexes.build(fig2Df, isAlpha = true, cap0 = 4)
     for ((a, b) <- Seq((1, 1), (2, 2), (2, 3), (3, 3), (4, 1))) {
@@ -21,6 +55,7 @@ class BasicBicoreIndexSpec extends SparkSpec {
       val exp = fig2Local.community(gidU(3), a, b).edges.toSet
       assert(got == exp, s"(a,b)=($a,$b)")
     }
+    checkQueryGraphs(isAlpha = true)
   }
 
   test("I_bs^beta query equals the community for beta within cap") {
@@ -30,6 +65,7 @@ class BasicBicoreIndexSpec extends SparkSpec {
       val exp = fig2Local.community(gidU(1), a, b).edges.toSet
       assert(got == exp, s"(a,b)=($a,$b)")
     }
+    checkQueryGraphs(isAlpha = false)
   }
 
   test("basic index entries for tau=alpha store the (alpha,1)-core adjacency") {

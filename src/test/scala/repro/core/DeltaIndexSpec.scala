@@ -55,10 +55,12 @@ class DeltaIndexSpec extends SparkSpec {
   }
 
   test("vertex offset lookups match the oracle") {
+    def offsetOf(part: String, x: Long, tau: Int): Int =
+      DeltaIndex.offsetOf(fig2Idx.vertexOffsets.filter(col("part") === part), x, tau)
     for (tau <- 1 to fig2Idx.delta; x <- Seq(gidU(1), gidU(3), gidU(5), gidL(1), gidL(4))) {
-      assert(fig2Idx.alphaOffsetOf(x, tau) == fig2Local.alphaOffsets(tau).getOrElse(x, 0),
+      assert(offsetOf("a", x, tau) == fig2Local.alphaOffsets(tau).getOrElse(x, 0),
         s"alpha x=$x tau=$tau")
-      assert(fig2Idx.betaOffsetOf(x, tau) == fig2Local.betaOffsets(tau).getOrElse(x, 0),
+      assert(offsetOf("b", x, tau) == fig2Local.betaOffsets(tau).getOrElse(x, 0),
         s"beta x=$x tau=$tau")
     }
   }
@@ -124,6 +126,11 @@ class DeltaIndexSpec extends SparkSpec {
     val idx = DeltaIndex.build(fig2Df.limit(0))
     assert(idx.delta == 0)
     assert(idx.entryCount == 0)
+    for (isAlpha <- Seq(true, false)) {
+      val basic = BasicIndexes.build(fig2Df.limit(0), isAlpha)
+      assert(basic.entryCount == 0, s"isAlpha=$isAlpha")
+      assert(BasicIndexes.query(basic, gidU(1), 1, 1).isEmpty, s"isAlpha=$isAlpha")
+    }
   }
 
   test("build on a cascade-heavy path runs at most a third of the join-loop build's jobs") {

@@ -1,5 +1,6 @@
 package repro.graph
 
+import org.apache.spark.JobCounter
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.local.LocalBipartite
 
@@ -63,6 +64,15 @@ class PeelSpec extends SparkSpec {
   test("stats counts vertices and edges") {
     val st = Bipartite.stats(toDF(spark, fig2))
     assert(st == Bipartite.Stats(20, 4, fig2.size))
+  }
+
+  test("core on a cascade-heavy path runs at most half the count-compare loop's jobs") {
+    // pathOf(8) at (2,2) peels to nothing, one vertex from each end per
+    // half-step. The count-compare loop with a checkpoint and a count per
+    // round ran 63 jobs here; the bound is 63 / 2.
+    val (core, jobs) = JobCounter.jobsIn(spark.sparkContext)(Peel.core(toDF(spark, pathOf(8)), 2, 2))
+    assert(core.isEmpty)
+    assert(jobs <= 31, s"$jobs jobs")
   }
 
   test("empty input yields empty core") {

@@ -103,7 +103,7 @@ object LocalProperties extends Properties("Local") {
       val binary =
         if (community.isEmpty) None
         else LocalScs.binary(community, q, a, b).map(_.edges.toSet)
-      val base = LocalScs.baseline(g, q, a, b).map(_.edges.toSet)
+      val base = LocalScs.expand(g, q, a, b).map(_.edges.toSet)
       Prop(peel == sem && expand == sem && binary == sem && base == sem) :| s"q=$q sem=$sem peel=$peel expand=$expand binary=$binary base=$base"
     }: _*)
   }

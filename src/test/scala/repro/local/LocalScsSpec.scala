@@ -20,7 +20,7 @@ class LocalScsSpec extends AnyFunSuite {
       "peel" -> comm.flatMap(c => LocalScs.peel(c, qGid, a, b)).map(_.edges.toSet),
       "binary" -> comm.flatMap(c => LocalScs.binary(c, qGid, a, b)).map(_.edges.toSet),
       "expand" -> comm.flatMap(c => LocalScs.expand(c, qGid, a, b)).map(_.edges.toSet),
-      "baseline" -> LocalScs.baseline(g, qGid, a, b).map(_.edges.toSet),
+      "baseline" -> LocalScs.expand(g, qGid, a, b).map(_.edges.toSet),
     )
   }
 

@@ -14,7 +14,7 @@ import repro.graph.{Bipartite, Offsets}
   * full entry counts come from [[IndexSizes]]).
   */
 final case class BasicIndex(
-    entries: DataFrame,       // tau, src, dst, u, v, w, off
+    entries: DataFrame,       // tau, src, dst, w, off (raw ids src >> 1, dst >> 1)
     vertexOffsets: DataFrame, // tau, gid, off
     isAlpha: Boolean,
     cap: Int) {

@@ -14,13 +14,13 @@ import repro.graph.{Bfs, Bipartite, Offsets}
   *
   * The paper stores sorted adjacency lists and stops reading a list at the
   * first neighbor below the bound. The dataflow rendition stores flat entry
-  * rows `(part, tau, src, dst, u, v, w, off)`, and the sort + early exit
-  * becomes the filter `off >= bound` on the (part, tau) slice. Every BFS
-  * round and the final semi-join scan that whole filtered slice, not only the
-  * answer's edges.
+  * rows `(part, tau, src, dst, w, off)` (the edge's raw ids are `src >> 1`
+  * and `dst >> 1`), and the sort + early exit becomes the filter
+  * `off >= bound` on the (part, tau) slice. Every BFS round scans that whole
+  * filtered slice, not only the answer's edges.
   */
 final case class DeltaIndex(
-    entries: DataFrame,       // part, tau, src, dst, u, v, w, off
+    entries: DataFrame,       // part, tau, src, dst, w, off
     vertexOffsets: DataFrame, // part, tau, gid, off
     delta: Int) {
 
@@ -65,11 +65,10 @@ object DeltaIndex {
     val srcO = off.select(col("gid").as("src"), col("offs").as("srcOffs"))
     val dstO = off.select(col("gid").as("dst"), col("offs").as("dstOffs"))
     adj.join(srcO, Seq("src")).join(dstO, Seq("dst"))
-      .select(col("src"), col("dst"), col(U), col(V), col(W),
+      .select(col("src"), col("dst"), col(W),
         posexplode(arrays_zip(col("srcOffs"), col("dstOffs"))).as(Seq("pos", "z")))
       .filter(keep(col("pos"), col("z.srcOffs"), col("z.dstOffs")))
-      .select(keys(col("pos")) ++ Seq(col("src"), col("dst"), col(U), col(V), col(W),
-        col("z.dstOffs").as("off")): _*)
+      .select(keys(col("pos")) ++ Seq(col("src"), col("dst"), col(W), col("z.dstOffs").as("off")): _*)
   }
 
   /** Per-(position, vertex) offset rows keyed by `keys(pos)`: (keys, gid, off). */
@@ -83,10 +82,9 @@ object DeltaIndex {
     * compares four weight distributions over one topology).
     */
   def withWeights(idx: DeltaIndex, edges0: DataFrame): DeltaIndex = {
-    val w2 = normalize(edges0).select(col(U), col(V), col(W).as("w2"))
-    val entries = cp(idx.entries.drop(W).join(w2, Seq(U, V))
-      .select(col("part"), col("tau"), col("src"), col("dst"),
-        col(U), col(V), col("w2").as(W), col("off")))
+    val w2 = sym(edges0).withColumnRenamed(W, "w2")
+    val entries = cp(idx.entries.drop(W).join(w2, Seq("src", "dst"))
+      .select(col("part"), col("tau"), col("src"), col("dst"), col("w2").as(W), col("off")))
     DeltaIndex(entries, idx.vertexOffsets, idx.delta)
   }
 
@@ -130,6 +128,5 @@ object DeltaIndex {
   private[core] def sliceQuery(entries: DataFrame, vertexOffsets: DataFrame, cap: Int,
                                qGid: Long, tau: Int, bound: Int): DataFrame =
     if (!inCore(vertexOffsets, cap, qGid, tau, bound)) emptyEdges(entries.sparkSession)
-    else Bfs.subgraphFrom(entries.filter(col("tau") === tau && col("off") >= bound)
-      .select(col("src"), col("dst"), col(U), col(V), col(W)), qGid)
+    else Bfs.subgraphFrom(entries.filter(col("tau") === tau && col("off") >= bound), qGid)
 }

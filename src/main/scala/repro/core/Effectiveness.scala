@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import repro.graph.{Bipartite, Butterflies, ConnectedComponents}
 import repro.local.LocalBipartite
@@ -58,11 +58,7 @@ object Effectiveness {
     * weights) is preserved.
     */
   def bicliqueCommunity(edges: DataFrame, qGid: Long, s: Int): DataFrame = {
-    val spark = edges.sparkSession
-    import spark.implicits._
-    val cSS = CommunitySearch.online(edges, qGid, s, s)
-    val g = LocalBipartite.fromEdges(collectEdges(cSS))
-    if (!g.contains(qGid)) return emptyEdges(spark)
+    val g = LocalBipartite.fromEdges(collectEdges(CommunitySearch.online(edges, qGid, s, s)))
     val nbr: Long => Set[Long] = gid => g.adj.getOrElse(gid, Vector.empty).map(_._1).toSet
     var xs = Vector(qGid)
     var common = nbr(qGid)
@@ -84,9 +80,9 @@ object Effectiveness {
     val out = for {
       x <- xs
       y <- common.toVector.sorted
-      (uu, vv) = if (LocalBipartite.isU(x)) (x / 2, y / 2) else (y / 2, x / 2)
+      (uu, vv) = if (LocalBipartite.isU(x)) (x >> 1, y >> 1) else (y >> 1, x >> 1)
       w <- wOf.get((uu, vv))
-    } yield (uu, vv, w)
-    if (out.isEmpty) emptyEdges(spark) else out.toDF(U, V, W)
+    } yield Row(uu, vv, w)
+    localEdges(edges.sparkSession, out)
   }
 }

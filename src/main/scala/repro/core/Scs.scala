@@ -1,7 +1,6 @@
 package repro.core
 
 import scala.collection.mutable
-import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.{DataFrame, Row}
 import repro.graph.Bipartite
 
@@ -14,7 +13,8 @@ import repro.graph.Bipartite
   * — the unique connected subgraph containing q that satisfies the degree
   * constraints and maximizes the minimum edge weight — or None when q is not
   * in the (alpha,beta)-core of the input. R is a local DataFrame with the
-  * canonical schema (u: long, v: long, w: double).
+  * canonical schema (u: long, v: long, w: double). A local input, such as
+  * the community [[DeltaIndex.query]] returns, is read without a Spark job.
   */
 object Scs {
   import Bipartite._
@@ -55,9 +55,7 @@ object Scs {
       run: DriverGraph => Option[Array[Int]]): Option[DataFrame] = {
     requireAlphaBeta(alpha, beta)
     val rows = collectCapped(edges, Runtime.getRuntime.maxMemory)
-    run(new DriverGraph(rows)).map { r =>
-      edges.sparkSession.createDataFrame(r.toSeq.map(rows(_)).asJava, normalize(edges).schema)
-    }
+    run(new DriverGraph(rows)).map(r => localEdges(edges.sparkSession, r.toSeq.map(rows(_))))
   }
 
   /** An edge list in array form. Upper vertices are 0 until nU, lower
@@ -103,8 +101,8 @@ object Scs {
     private def nLevels: Int = levelStart.length - 1
 
     private def vertexOf(qGid: Long): Int =
-      if (isUGid(qGid)) upper.getOrElse(qGid / 2, -1)
-      else lower.get(qGid / 2).fold(-1)(_ + nU)
+      if (isUGid(qGid)) upper.getOrElse(qGid >> 1, -1)
+      else lower.get(qGid >> 1).fold(-1)(_ + nU)
 
     private def other(e: Int, x: Int): Int = if (src(e) == x) dst(e) else src(e)
 

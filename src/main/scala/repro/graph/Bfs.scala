@@ -1,56 +1,56 @@
 package repro.graph
 
 import scala.collection.mutable
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
 /** Frontier-expansion breadth-first traversal — the dataflow rendition of the
   * paper's Algorithm 2 query loop. Index-based queries pass the filtered
-  * index slice, so only community edges are returned; but each round and the
-  * final semi-join scan the whole adjacency they are given, not only the
-  * answer's edges, so the paper's "optimal retrieval" read cost does not
-  * hold here. The edges stay in Spark and the vertex ids live on the driver:
-  * each round is one broadcast semi-join of the adjacency against the
-  * frontier, collecting `dst`, with no shuffle or checkpoint.
+  * index slice, so only community edges are returned; but each round scans
+  * the whole adjacency it is given, not only the answer's edges, so the
+  * paper's "optimal retrieval" read cost does not hold here. The edges stay
+  * in Spark and the vertex ids and answer live on the driver: each round is
+  * one broadcast semi-join of the adjacency against the frontier, collecting
+  * the frontier's rows, with no shuffle or checkpoint. The answer is built
+  * from those rows, so it is read once.
   */
 object Bfs {
   import Bipartite._
 
   /** Canonical edges (u, v, w) of the subgraph reachable from startGid over
-    * `adj` (src, dst, u, v, w), in ecc(startGid) + 1 rounds; empty when
-    * startGid has no rows. `adj` must be symmetric: every row src -> dst has
-    * its reverse with the same (u, v, w), as `sym(...)` and the I_delta and
-    * I_bs slices do (a slice keeps both directions of every community edge).
-    * Raises IllegalArgumentException when more vertices are reachable than
-    * [[Bipartite.maxDriverEdges]] allows.
+    * `adj` (src, dst, w), in ecc(startGid) + 1 rounds, as a local DataFrame;
+    * empty when startGid has no rows. `adj` must be symmetric: every row
+    * src -> dst has its reverse with the same w, as `sym(...)` and the
+    * I_delta and I_bs slices do (a slice keeps both directions of every
+    * community edge). The answer is the rows read from upper frontier
+    * vertices; every visited vertex is in exactly one frontier, so each edge
+    * is read once that way. Raises IllegalArgumentException when the answer
+    * exceeds the [[Bipartite.maxDriverEdges]] limit.
     */
   def subgraphFrom(adj: DataFrame, startGid: Long): DataFrame =
     subgraphFrom(adj, startGid, maxDriverEdges(Runtime.getRuntime.maxMemory))
 
-  private[graph] def subgraphFrom(adj0: DataFrame, startGid: Long, maxVisited: Int): DataFrame = {
+  private[graph] def subgraphFrom(adj0: DataFrame, startGid: Long, maxEdges: Int): DataFrame = {
     val spark = adj0.sparkSession
     import spark.implicits._
-    val adj = cp(adj0.select(col("src"), col("dst"), col(U), col(V), col(W)))
-    def touching(gids: Iterable[Long]): DataFrame =
-      adj.join(broadcast(gids.toSeq.toDF("gid")), col("src") === col("gid"), "left_semi")
+    val adj = cp(adj0.select(col("src"), col("dst"), col(W)))
 
     val visited = mutable.LongMap(startGid -> ())
+    val answer = mutable.ArrayBuffer.empty[Row]
     var frontier = Array(startGid)
     while (frontier.nonEmpty) {
       val next = mutable.LongMap.empty[Unit]
-      for (r <- touching(frontier).select(col("dst")).collect()) {
-        val gid = r.getLong(0)
-        if (!visited.contains(gid)) next(gid) = ()
+      for (r <- adj.join(broadcast(frontier.toSeq.toDF("gid")), col("src") === col("gid"), "left_semi").collect()) {
+        val (src, dst) = (r.getLong(0), r.getLong(1))
+        if (isUGid(src)) answer += Row(src >> 1, dst >> 1, r.getDouble(2))
+        if (!visited.contains(dst)) next(dst) = ()
       }
-      val reached = visited.size.toLong + next.size
-      if (reached > maxVisited)
-        throw new IllegalArgumentException(s"BFS from $startGid reaches $reached or more " +
-          s"vertices; the driver limit is $maxVisited vertices")
+      if (answer.length > maxEdges)
+        throw new IllegalArgumentException(s"BFS from $startGid reaches ${answer.length} or more " +
+          s"edges; the driver limit is $maxEdges edges")
       visited ++= next
       frontier = next.keys.toArray
     }
-    // Every edge out of a visited vertex ends at a visited vertex, and by
-    // symmetry appears twice; keep its upper -> lower row.
-    cp(touching(visited.keys).filter(col("src") === gidU(col(U))).select(col(U), col(V), col(W)))
+    localEdges(spark, answer.toSeq)
   }
 }

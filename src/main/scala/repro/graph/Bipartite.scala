@@ -1,7 +1,9 @@
 package repro.graph
 
-import org.apache.spark.sql.{Column, DataFrame}
+import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
 
 /** Schema and encoding conventions for weighted bipartite edge lists.
   *
@@ -9,6 +11,8 @@ import org.apache.spark.sql.functions._
   * (lower-layer id) and `w: double` (edge weight). Upper and lower ids are
   * independent namespaces; whenever both layers must share one id space
   * (offsets, components, BFS) we gid-encode: `gid(u) = 2u`, `gid(v) = 2v+1`.
+  * A gid decodes as `gid >> 1` and is upper when `gid % 2 == 0`, which also
+  * holds for negative ids (where `/ 2` and `% 2 == 1` do not).
   */
 object Bipartite {
   val U = "u"
@@ -62,14 +66,14 @@ object Bipartite {
     Stats(r.getLong(0), r.getLong(1), r.getLong(2))
   }
 
-  /** Symmetric gid-encoded adjacency: one row per edge direction, carrying the
-    * original endpoints and weight so traversals can emit canonical edges.
+  /** Symmetric gid-encoded adjacency (src, dst, w): one row per edge
+    * direction. The edge (u, v, w) is the row whose src is upper, decoded as
+    * (src >> 1, dst >> 1, w).
     */
   def sym(edges: DataFrame): DataFrame = {
     val e = normalize(edges)
-    val fwd = e.select(gidU(col(U)).as("src"), gidL(col(V)).as("dst"), col(U), col(V), col(W))
-    val bwd = e.select(gidL(col(V)).as("src"), gidU(col(U)).as("dst"), col(U), col(V), col(W))
-    fwd.unionByName(bwd)
+    e.select(gidU(col(U)).as("src"), gidL(col(V)).as("dst"), col(W))
+      .unionByName(e.select(gidL(col(V)).as("src"), gidU(col(U)).as("dst"), col(W)))
   }
 
   /** All vertex gids present in the edge set. */
@@ -93,18 +97,19 @@ object Bipartite {
   /** Keeps `cap + 1` and the 2·cap adjacency slots inside Int. */
   private val MaxEdges = Int.MaxValue / 4
 
-  /** The largest edge (or vertex) set collected to a driver of `heapBytes`:
-    * the SCS input in `core.Scs`, the visited set in [[Bfs]].
+  /** The largest edge set held on a driver of `heapBytes`: the SCS input in
+    * `core.Scs` and the answer edges a [[Bfs]] collects (a connected answer
+    * has at most one more vertex than edges).
     */
   private[repro] def maxDriverEdges(heapBytes: Long): Int =
     math.max(1L, math.min(heapBytes / BytesPerEdge, MaxEdges.toLong)).toInt
 
-  /** Empty canonical edge DataFrame. */
-  def emptyEdges(spark: org.apache.spark.sql.SparkSession): DataFrame = {
-    import org.apache.spark.sql.types._
-    spark.createDataFrame(
-      spark.sparkContext.emptyRDD[org.apache.spark.sql.Row],
-      StructType(Seq(
-        StructField(U, LongType), StructField(V, LongType), StructField(W, DoubleType))))
-  }
+  /** A local canonical edge DataFrame of driver-held rows (u, v, w): reading
+    * it back, e.g. with `collect()`, runs no Spark job.
+    */
+  def localEdges(spark: SparkSession, rows: Seq[Row]): DataFrame =
+    spark.createDataFrame(rows.asJava,
+      StructType(Seq(StructField(U, LongType), StructField(V, LongType), StructField(W, DoubleType))))
+
+  def emptyEdges(spark: SparkSession): DataFrame = localEdges(spark, Nil)
 }

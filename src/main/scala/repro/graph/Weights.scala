@@ -83,10 +83,8 @@ object Weights {
         .select(col("gid"),
           (lit(restart / n) + lit(1 - restart) * coalesce(col("inR"), lit(0.0))).as("r")))
     }
-    val su = score.filter(col("gid") % 2 === 0)
-      .select((col("gid") / 2).cast("long").as(U), col("r").as("ru"))
-    val sl = score.filter(col("gid") % 2 === 1)
-      .select(((col("gid") - 1) / 2).cast("long").as(V), col("r").as("rl"))
+    val su = score.filter(col("gid") % 2 === 0).select(shiftRight(col("gid"), 1).as(U), col("r").as("ru"))
+    val sl = score.filter(col("gid") % 2 =!= 0).select(shiftRight(col("gid"), 1).as(V), col("r").as("rl"))
     val prod = e.join(su, Seq(U)).join(sl, Seq(V))
       .select(col(U), col(V), (col("ru") * col("rl")).as("p"))
     // Rank-quantize the products into `levels` levels.

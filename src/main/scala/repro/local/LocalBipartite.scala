@@ -166,7 +166,7 @@ object LocalBipartite {
   def gidU(u: Long): Long = 2L * u
   def gidL(v: Long): Long = 2L * v + 1L
   def isU(gid: Long): Boolean = gid % 2 == 0
-  def rawId(gid: Long): Long = gid / 2
+  def rawId(gid: Long): Long = gid >> 1
 
   def fromEdges(es: Seq[(Long, Long, Double)]): LocalBipartite =
     LocalBipartite(es.toVector)

@@ -22,7 +22,7 @@ object TestGraphs {
   /** Membership test: is the gid-encoded vertex present in the edge set? */
   def containsGid(edges: DataFrame, gid: Long): Boolean = {
     val side = if (Bipartite.isUGid(gid)) Bipartite.U else Bipartite.V
-    !Bipartite.normalize(edges).filter(col(side) === gid / 2).isEmpty
+    !Bipartite.normalize(edges).filter(col(side) === (gid >> 1)).isEmpty
   }
 
   /** Miniature of the paper's Figure 2 running example: a hub lower vertex
@@ -56,6 +56,10 @@ object TestGraphs {
     */
   def pathOf(n: Int): Vector[(Long, Long, Double)] =
     (1L to n.toLong).flatMap(i => Seq((i, i, 2.0 * i - 1), (i + 1, i, 2.0 * i))).toVector
+
+  /** `edges` with every upper and lower id negated. */
+  def negated(edges: Vector[(Long, Long, Double)]): Vector[(Long, Long, Double)] =
+    edges.map { case (u, v, w) => (-u, -v, w) }
 
   /** A path u1-v1-u2-v2-u3 (tests long propagation chains). */
   val path: Vector[(Long, Long, Double)] = pathOf(2)

@@ -36,7 +36,8 @@ class CommunitySearchSpec extends SparkSpec {
   test("all three algorithms agree on a random graph") {
     // A 24-vertex ring (a (2,2)-core, eccentricity 12) with the path
     // pathOf(6) hanging off v1: at (1,1) q = u107 is 25 hops from the far
-    // side of the ring; at (2,2) the path is peeled away.
+    // side of the ring; at (2,2) the path is peeled away. Graph 16 is the
+    // same with every id negated.
     val ring = (1L to 12L).flatMap(i => Seq((i, i, 1.0 + i % 3), (i % 12 + 1, i, 2.0))).toVector
     val tail = pathOf(6).map { case (u, v, w) => (u + 100, v + 100, w) } :+ ((101L, 1L, 1.0))
     val graphs = (1 to 14).map { seed =>
@@ -49,7 +50,7 @@ class CommunitySearchSpec extends SparkSpec {
             random(4, 4, 0.75, seed + 100).map { case (u, v, w) => (u + 4, v + 4, w) } ++
             Vector((9L, 1L, 1.0), (9L, 9L, 1.0), (5L, 9L, 1.0))
       })
-    } :+ (15 -> (ring ++ tail))
+    } ++ Seq(15 -> (ring ++ tail), 16 -> negated(ring ++ tail))
     val params = Seq((2, 2), (1, 3), (3, 1), (2, 3), (3, 2), (1, 1), (3, 3))
     var (splitCores, outside) = (0, 0)
     for ((seed, edges) <- graphs) {
@@ -58,8 +59,11 @@ class CommunitySearchSpec extends SparkSpec {
       val idxV = BicoreIndex.fromDelta(idxD)
       val g = LocalBipartite(edges)
       val cases =
-        if (seed == 15) Seq((gidU(107), 1, 1), (gidL(7), 2, 2), (gidU(107), 2, 2), (gidU(999), 1, 1))
-        else {
+        if (seed >= 15) {
+          val sign = if (seed == 15) 1 else -1
+          Seq((gidU(sign * 107), 1, 1), (gidL(sign * 7), 2, 2), (gidU(sign * 107), 2, 2),
+            (gidU(sign * 999), 1, 1))
+        } else {
           val (a, b) = params(seed % params.size)
           val core = g.core(a, b)
           if (core.components.values.toSet.size > 1) splitCores += 1

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.JobCounter
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.graph.Bipartite
 import repro.local.{LocalBipartite, LocalScs}
@@ -68,8 +69,8 @@ class ScsSpec extends SparkSpec {
   }
 
   test("random graphs: Spark algorithms match the sequential oracle") {
-    var splitCores = 0
-    for (seed <- 1 to 25) {
+    val params = Seq((2, 2), (2, 3), (3, 2), (1, 3), (3, 1))
+    val graphs = (1 to 25).map { seed =>
       // Two or three weight levels force ties. Every third graph is two dense
       // blocks joined by the path v1-u9-v9-u5, which no core with alpha or
       // beta >= 3 keeps: the core falls apart into several components.
@@ -79,11 +80,17 @@ class ScsSpec extends SparkSpec {
         else random(4, 4, 0.75, seed, maxW) ++
           random(4, 4, 0.75, seed + 100, maxW).map { case (u, v, w) => (u + 4, v + 4, w) } ++
           Vector((9L, 1L, 1.0), (9L, 9L, 1.0), (5L, 9L, 1.0))
+      (s"seed=$seed", edges,
+        Seq(gidU(1 + seed % 7), gidL(1 + seed % 6)).zip(Seq(params(seed % 5), params((seed + 2) % 5))))
+    } :+ {
+      // Negative ids: gidL(-3) = -5 is v-3, in the other block from v-2 (-5 / 2).
+      ("negated", negated(twoBlocks.filter(_._3 != 1.0)), Seq(gidL(-3) -> (2, 2), gidU(-1) -> (2, 2)))
+    }
+    var splitCores = 0
+    for ((label, edges, cases) <- graphs) {
       val g = LocalBipartite(edges)
       val df = toDF(spark, edges)
-      val params = Seq((2, 2), (2, 3), (3, 2), (1, 3), (3, 1))
-      for ((q, (a, b)) <- Seq(gidU(1 + seed % 7), gidL(1 + seed % 6)).zip(
-             Seq(params(seed % 5), params((seed + 2) % 5)))) {
+      for ((q, (a, b)) <- cases) {
         val exp = LocalScs.semantic(g, q, a, b).map(_.edges.toSet)
         val core = g.core(a, b)
         if (exp.nonEmpty && core.components.values.toSet.size > 1) splitCores += 1
@@ -94,7 +101,7 @@ class ScsSpec extends SparkSpec {
           "baseline" -> Scs.baseline(df, q, a, b),
           "peel(G)" -> Scs.peel(df, q, a, b),
         ).foreach { case (name, res) =>
-          assert(res.map(edgeSet) == exp, s"seed=$seed $name q=$q ($a,$b)")
+          assert(res.map(edgeSet) == exp, s"$label $name q=$q ($a,$b)")
         }
       }
     }
@@ -112,6 +119,15 @@ class ScsSpec extends SparkSpec {
       val exp = LocalScs.semantic(LocalBipartite(edges), q, a, b).map(_.edges.toSet)
       assert(Scs.peel(toDF(spark, edges), q, a, b).map(edgeSet) == exp, s"q=$q ($a,$b)")
     }
+  }
+
+  test("peel and expand read DeltaIndex.query's community without a Spark job") {
+    val community = DeltaIndex.query(fig2Idx, gidU(3), 2, 2)
+    val sc = spark.sparkContext
+    val (peel, peelJobs) = JobCounter.jobsIn(sc)(Scs.peel(community, gidU(3), 2, 2).map(edgeSet))
+    val (expand, expandJobs) = JobCounter.jobsIn(sc)(Scs.expand(community, gidU(3), 2, 2).map(edgeSet))
+    assert(peel.contains(fig2ScU3) && expand.contains(fig2ScU3))
+    assert((peelJobs, expandJobs) == ((0, 0)), "(peel, expand) jobs")
   }
 
   test("driver edge limit is positive, monotone in the heap and fits in an Int") {

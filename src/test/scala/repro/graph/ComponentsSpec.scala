@@ -80,17 +80,19 @@ class ComponentsSpec extends SparkSpec {
   }
 
   test("Bfs runs at most 3 Spark jobs per round") {
+    // Two jobs per round and one checkpoint of the adjacency; reading the
+    // answer back runs none.
     val ecc = 12 // of u1 on pathOf(6)
     val adj = Bipartite.sym(toDF(spark, pathOf(6)))
     val (got, jobs) = JobCounter.jobsIn(spark.sparkContext)(edgeSet(Bfs.subgraphFrom(adj, gidU(1))))
     assert(got == pathOf(6).toSet)
-    assert(jobs <= 3 * (ecc + 1), s"$jobs jobs for ${ecc + 1} rounds")
+    assert(jobs <= 2 * (ecc + 1) + 1, s"$jobs jobs for ${ecc + 1} rounds")
   }
 
   test("Bfs rejects a traversal above the driver limit") {
-    val adj = Bipartite.sym(toDF(spark, pathOf(6))) // 13 vertices
-    val e = intercept[IllegalArgumentException](Bfs.subgraphFrom(adj, gidU(1), maxVisited = 10))
-    assert(e.getMessage.contains("11 or more vertices") && e.getMessage.contains("limit is 10 vertices"))
-    assert(edgeSet(Bfs.subgraphFrom(adj, gidU(1), maxVisited = 13)) == pathOf(6).toSet)
+    val adj = Bipartite.sym(toDF(spark, pathOf(6))) // 12 edges
+    val e = intercept[IllegalArgumentException](Bfs.subgraphFrom(adj, gidU(1), maxEdges = 11))
+    assert(e.getMessage.contains("12 or more edges") && e.getMessage.contains("limit is 11 edges"))
+    assert(edgeSet(Bfs.subgraphFrom(adj, gidU(1), maxEdges = 12)) == pathOf(6).toSet)
   }
 }

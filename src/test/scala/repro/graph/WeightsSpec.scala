@@ -61,6 +61,9 @@ class WeightsSpec extends SparkSpec {
     val hubAvg = w.filter(col("u") === hub).agg(avg("w")).head.getDouble(0)
     val allAvg = w.agg(avg("w")).head.getDouble(0)
     assert(hubAvg > allAvg, s"hub=$hubAvg overall=$allAvg")
+    // Negative ids: every edge keeps a weight.
+    val neg = toDF(spark, negated(fig2))
+    assert(topologyOf(Weights.rwr(neg, levels = 4)) == topologyOf(neg))
   }
 
   test("uniform weight stats agree with DuckDB") {

@@ -15,7 +15,7 @@ import repro.exp.Tables
 class TableIIIBench extends SparkSpec {
 
   test("Table III: SCS time under AE/RW/UF/SK weight distributions") {
-    val rows = Tables.tableIII(spark, nQueries = 1)
+    val rows = Tables.tableIII(spark, nQueries = 3)
     println("==== Table III (weight distributions, DT analog) ====")
     println(Tables.printTableIII(rows))
 

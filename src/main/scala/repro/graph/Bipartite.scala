@@ -82,15 +82,17 @@ object Bipartite {
     e.select(gidU(col(U)).as("gid")).union(e.select(gidL(col(V)).as("gid"))).distinct()
   }
 
-  /** Collect a (small) edge DataFrame as tuples — the bridge to the sequential
-    * oracle (`repro.local`) and the driver-side biclique heuristic.
+  /** Collect a (small) edge DataFrame as tuples — the bridge to `repro.local`
+    * (the sequential oracle and the SCS engine) and the driver-side biclique
+    * heuristic.
     */
   def collectEdges(edges: DataFrame): Vector[(Long, Long, Double)] =
     normalize(edges).collect().toVector.map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
 
-  /** Heap bytes budgeted per collected edge: the collected row (~100 B), the
-    * transient serialized batch, and the driver-side arrays or hash entries
-    * built over it (~300 B) fit about three times over.
+  /** Heap bytes budgeted per collected edge: the collected row (~100 B) and
+    * its (u, v, w) tuple (~75 B), the transient serialized batch, and the
+    * driver-side arrays or hash entries built over it (~300 B) fit about
+    * twice over.
     */
   private val BytesPerEdge = 1024L
 

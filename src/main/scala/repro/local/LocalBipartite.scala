@@ -8,7 +8,8 @@ import scala.collection.mutable
   * implementation (sorted adjacency, queue-based cascade peeling). It serves
   * two purposes: (1) the correctness oracle every Spark dataflow module is
   * tested against, and (2) the "author testbed" analog for sanity-checking
-  * benchmark shapes.
+  * benchmark shapes. `LocalScs.peel`/`expand` are the exception: they are
+  * the SCS engine `core.Scs` runs, checked against `LocalScs.semantic`.
   *
   * Vertices are gid-encoded: an upper vertex `u` is `2*u`, a lower vertex `v`
   * is `2*v + 1`, so both layers live in one id space (as in the Spark side).
@@ -33,9 +34,6 @@ final case class LocalBipartite(edges: Vector[(Long, Long, Double)]) {
   def nEdges: Int = edges.size
   def isEmpty: Boolean = edges.isEmpty
   def contains(gid: Long): Boolean = adj.contains(gid)
-  def minWeight: Double = edges.iterator.map(_._3).min
-  def maxDegU: Int = if (upperVertices.isEmpty) 0 else upperVertices.iterator.map(degree).max
-  def maxDegL: Int = if (lowerVertices.isEmpty) 0 else lowerVertices.iterator.map(degree).max
 
   /** Keep only edges whose endpoints are both in `keep`. */
   def induced(keep: Set[Long]): LocalBipartite =
@@ -170,8 +168,4 @@ object LocalBipartite {
 
   def fromEdges(es: Seq[(Long, Long, Double)]): LocalBipartite =
     LocalBipartite(es.toVector)
-
-  /** Unweighted convenience constructor: all weights 1.0. */
-  def unweighted(es: Seq[(Long, Long)]): LocalBipartite =
-    LocalBipartite(es.map { case (u, v) => (u, v, 1.0) }.toVector)
 }

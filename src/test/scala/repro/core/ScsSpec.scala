@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.JobCounter
 import repro.{Oracle, SparkSpec, TestGraphs}
@@ -148,6 +149,17 @@ class ScsSpec extends SparkSpec {
     val e = intercept[IllegalArgumentException](Scs.collectCapped(df, heap))
     assert(e.getMessage.contains(s"${fig2.size} edges") && e.getMessage.contains(s"$cap edges"))
     assert(Scs.collectCapped(df, 1L << 30).length == fig2.size)
+  }
+
+  test("NaN weights are rejected by peel, expand and baseline") {
+    // The oracle drops NaN edges (no weight is >= NaN), while the engine would
+    // sort NaN as the highest level: the engine rejects them instead.
+    val k22 = for (u <- 1L to 2L; v <- 1L to 2L) yield (u, v, 1.0)
+    for (edges <- Seq(k22.map(_.copy(_3 = Double.NaN)), k22.updated(0, (1L, 1L, Double.NaN)))) {
+      val df = toDF(spark, edges)
+      Seq[DataFrame => Option[DataFrame]](Scs.peel(_, gidU(1), 2, 2), Scs.expand(_, gidU(1), 2, 2),
+        Scs.baseline(_, gidU(1), 2, 2)).foreach(alg => intercept[IllegalArgumentException](alg(df)))
+    }
   }
 
   test("result audit: connectivity, degrees and min-weight maximality (DuckDB)") {

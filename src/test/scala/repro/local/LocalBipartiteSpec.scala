@@ -22,13 +22,6 @@ class LocalBipartiteSpec extends AnyFunSuite {
     assert(fig2.degree(gidU(99)) == 0)
   }
 
-  test("alphaMax/betaMax equal max layer degrees") {
-    assert(fig2.maxDegU == 4)
-    assert(fig2.maxDegL == 20)
-    assert(star.maxDegU == 6)
-    assert(star.maxDegL == 1)
-  }
-
   test("(1,1)-core keeps everything") {
     assert(fig2.core(1, 1).edges.toSet == fig2.edges.toSet)
   }

@@ -100,11 +100,9 @@ object LocalProperties extends Properties("Local") {
       val expand =
         if (community.isEmpty) None
         else LocalScs.expand(community, q, a, b).map(_.edges.toSet)
-      val binary =
-        if (community.isEmpty) None
-        else LocalScs.binary(community, q, a, b).map(_.edges.toSet)
+      val peelG = LocalScs.peel(g, q, a, b).map(_.edges.toSet)
       val base = LocalScs.expand(g, q, a, b).map(_.edges.toSet)
-      Prop(peel == sem && expand == sem && binary == sem && base == sem) :| s"q=$q sem=$sem peel=$peel expand=$expand binary=$binary base=$base"
+      Prop(peel == sem && expand == sem && peelG == sem && base == sem) :| s"q=$q sem=$sem peel=$peel expand=$expand peel(G)=$peelG base=$base"
     }: _*)
   }
 

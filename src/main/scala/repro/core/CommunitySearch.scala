@@ -10,7 +10,9 @@ import repro.graph.{Bfs, Bipartite, Peel}
   *  - Q_v   — bicore-index based: vertex set from I_v, traversal over the
   *            original adjacency (Liu et al. WWW'19 [15]);
   *  - Q_opt — I_delta based, a BFS from q over one (part, tau,
-  *            off >= bound) slice of the index (this paper).
+  *            off >= bound) slice of the index (this paper): the slice is
+  *            scanned once per query, and each BFS round reads only the
+  *            frontier's entries.
   *
   * All return the canonical edge list (u, v, w) of C_{alpha,beta}(q).
   */

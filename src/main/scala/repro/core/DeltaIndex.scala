@@ -16,8 +16,9 @@ import repro.graph.{Bfs, Bipartite, Offsets}
   * first neighbor below the bound. The dataflow rendition stores flat entry
   * rows `(part, tau, src, dst, w, off)` (the edge's raw ids are `src >> 1`
   * and `dst >> 1`), and the sort + early exit becomes the filter
-  * `off >= bound` on the (part, tau) slice. Every BFS round scans that whole
-  * filtered slice, not only the answer's edges.
+  * `off >= bound` on the (part, tau) slice. A query scans that whole
+  * filtered slice once, when its BFS builds adjacency lists from it; each BFS
+  * round then reads only the frontier's entries.
   */
 final case class DeltaIndex(
     entries: DataFrame,       // part, tau, src, dst, w, off

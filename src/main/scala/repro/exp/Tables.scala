@@ -202,10 +202,14 @@ object Tables {
       "UF" -> Weights.uniform(raw, Datasets.WeightLevels, spec.seed + 1),
       "SK" -> Weights.skewNormal(raw, Datasets.WeightLevels, spec.seed + 2),
     )
-    dists.map { case (dist, edges0) =>
+    def row(dist: String, edges0: DataFrame, n: Int): ScsRow = {
       val edges = cp(edges0)
-      val idx = DeltaIndex.withWeights(structural, edges)
-      val r = scsRowFor(dist, edges, p, p, nQueries, Some(idx))
+      scsRowFor(dist, edges, p, p, n, Some(DeltaIndex.withWeights(structural, edges)))
+    }
+    // One untimed query first, so that no row carries the JVM's warm-up.
+    row("warm-up", dists.last._2, 1)
+    dists.map { case (dist, edges0) =>
+      val r = row(dist, edges0, nQueries)
       WeightDistRow(dist, r.baselineMs, r.peelMs, r.expandMs)
     }
   }

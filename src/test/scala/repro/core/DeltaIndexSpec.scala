@@ -89,6 +89,15 @@ class DeltaIndexSpec extends SparkSpec {
     }
   }
 
+  test("Q_opt on a path runs one offset lookup and one job per BFS round") {
+    val edges = pathOf(6)
+    val ecc = 12 // of u1 on pathOf(6), all of which is the (1,1)-core
+    val idx = DeltaIndex.build(toDF(spark, edges))
+    val (got, jobs) = JobCounter.jobsIn(spark.sparkContext)(edgeSet(DeltaIndex.query(idx, gidU(1), 1, 1)))
+    assert(got == LocalBipartite(edges).community(gidU(1), 1, 1).edges.toSet)
+    assert(jobs <= ecc + 2, s"$jobs jobs for ${ecc + 1} rounds")
+  }
+
   test("Q_opt empty cases: q outside core; min(a,b) beyond delta") {
     assert(DeltaIndex.query(fig2Idx, gidU(5), 2, 2).isEmpty)   // pendant
     assert(DeltaIndex.query(fig2Idx, gidU(1), 4, 4).isEmpty)   // > delta both

@@ -80,19 +80,38 @@ class ComponentsSpec extends SparkSpec {
   }
 
   test("Bfs runs at most 3 Spark jobs per round") {
-    // Two jobs per round and one checkpoint of the adjacency; reading the
-    // answer back runs none.
+    // One job per round (the first also builds the adjacency lists); reading
+    // the answer back runs none.
     val ecc = 12 // of u1 on pathOf(6)
     val adj = Bipartite.sym(toDF(spark, pathOf(6)))
     val (got, jobs) = JobCounter.jobsIn(spark.sparkContext)(edgeSet(Bfs.subgraphFrom(adj, gidU(1))))
     assert(got == pathOf(6).toSet)
-    assert(jobs <= 2 * (ecc + 1) + 1, s"$jobs jobs for ${ecc + 1} rounds")
+    assert(jobs <= ecc + 1, s"$jobs jobs for ${ecc + 1} rounds")
+  }
+
+  test("Bfs over an adjacency whose sources are split across partitions, some empty") {
+    // fig2 and, beside it, the two blocks of twoBlocks without their bridge.
+    val edges = fig2 ++ twoBlocks.filter(_._3 != 1.0).map { case (u, v, w) => (u + 100, v + 100, w) }
+    val adj = Bipartite.sym(toDF(spark, edges))
+    val nVertices = adj.select("src").distinct().count().toInt
+    val split = adj.repartition(3 * nVertices, col("dst"))
+    val placed = split.select(col("src"), spark_partition_id()).collect().map(r => (r.getLong(0), r.getInt(1)))
+    assert(placed.groupBy(_._1).exists(_._2.map(_._2).distinct.length > 1), "no src split across partitions")
+    assert(placed.map(_._2).distinct.length < split.rdd.getNumPartitions, "no empty partition")
+    for (q <- Seq(gidU(3), gidL(4), gidU(101), gidL(103))) {
+      val exp = LocalBipartite(edges).componentOf(q).edges.toSet
+      assert(edgeSet(Bfs.subgraphFrom(split, q)) == exp, s"q=$q")
+    }
   }
 
   test("Bfs rejects a traversal above the driver limit") {
+    val sc = spark.sparkContext
     val adj = Bipartite.sym(toDF(spark, pathOf(6))) // 12 edges
+    val persisted = sc.getPersistentRDDs.keySet
     val e = intercept[IllegalArgumentException](Bfs.subgraphFrom(adj, gidU(1), maxEdges = 11))
     assert(e.getMessage.contains("12 or more edges") && e.getMessage.contains("limit is 11 edges"))
+    assert(sc.getPersistentRDDs.keySet == persisted, "adjacency lists left persisted after the throw")
     assert(edgeSet(Bfs.subgraphFrom(adj, gidU(1), maxEdges = 12)) == pathOf(6).toSet)
+    assert(sc.getPersistentRDDs.keySet == persisted, "adjacency lists left persisted after the return")
   }
 }

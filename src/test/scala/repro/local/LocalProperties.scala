@@ -1,6 +1,6 @@
 package repro.local
 
-import org.scalacheck.{Gen, Prop, Properties}
+import org.scalacheck.{Gen, Prop, Properties, Shrink}
 import org.scalacheck.Prop.forAll
 import LocalBipartite.{gidL, gidU}
 
@@ -27,6 +27,17 @@ object LocalProperties extends Properties("Local") {
 
   private val genAB: Gen[(Int, Int)] =
     for { a <- Gen.choose(1, 4); b <- Gen.choose(1, 4) } yield (a, b)
+
+  /** Shrinks alpha and beta only inside [1, 4], the range they are drawn
+    * from: 0 is not a valid query parameter. Also used for `genAB`'s pairs.
+    */
+  private implicit val shrinkParam: Shrink[Int] =
+    Shrink.shrinkIntegral[Int].suchThat(x => x >= 1 && x <= 4)
+
+  property("alpha and beta shrink only inside [1, 4]") = forAll(genAB) { ab =>
+    Shrink.shrink(ab).forall { case (a, b) => a >= 1 && a <= 4 && b >= 1 && b <= 4 } &&
+      Shrink.shrink(ab._1).forall(a => a >= 1 && a <= 4)
+  }
 
   property("core satisfies degree constraints") = forAll(genGraph, genAB) { (g, ab) =>
     val (a, b) = ab

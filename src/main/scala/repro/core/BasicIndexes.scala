@@ -14,10 +14,8 @@ import repro.graph.{Bipartite, Offsets}
   * full entry counts come from [[IndexSizes]]).
   */
 final case class BasicIndex(
-    entries: DataFrame,       // tau, src, dst, w, off (raw ids src >> 1, dst >> 1)
-    vertexOffsets: DataFrame, // tau, gid, off
-    isAlpha: Boolean,
-    cap: Int) {
+    entries: DataFrame, // tau, src, dst, w, off (raw ids src >> 1, dst >> 1)
+    isAlpha: Boolean) {
   def entryCount: Long = entries.count()
 }
 
@@ -38,7 +36,7 @@ object BasicIndexes {
       else Offsets.betaOffsetsAll(edges, cap)
     val byTau = (pos: Column) => Seq((pos + 1).cast("int").as("tau"))
     val entries = DeltaIndex.entriesFor(sym(edges), off, byTau, (_, srcOff, dstOff) => srcOff >= 1 && dstOff >= 1)
-    BasicIndex(cp(entries), cp(DeltaIndex.vertexFor(off, byTau)), isAlpha, cap)
+    BasicIndex(cp(entries), isAlpha)
   }
 
   /** Query C_{alpha,beta}(q) from a basic index: for I_bs^alpha, BFS over the
@@ -48,7 +46,7 @@ object BasicIndexes {
   def query(idx: BasicIndex, qGid: Long, alpha: Int, beta: Int): DataFrame = {
     requireAlphaBeta(alpha, beta)
     val (tau, bound) = if (idx.isAlpha) (alpha, beta) else (beta, alpha)
-    DeltaIndex.sliceQuery(idx.entries, idx.vertexOffsets, idx.cap, qGid, tau, bound)
+    DeltaIndex.sliceQuery(idx.entries, qGid, tau, bound)
   }
 }
 

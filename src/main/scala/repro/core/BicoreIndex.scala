@@ -36,14 +36,14 @@ object BicoreIndex {
     * ORIGINAL adjacency restricted to that vertex set. Unlike Q_opt this
     * touches the full adjacency of every visited vertex (the inefficiency
     * the paper's I_delta removes): here the restriction is a semi-join of
-    * the whole edge list against the vertex set before the traversal.
+    * the whole edge list against the vertex set before the traversal. A q
+    * outside the core is not in the set, so its BFS is empty after one round.
     */
   def query(edges0: DataFrame, idx: BicoreIndex, qGid: Long, alpha: Int, beta: Int): DataFrame = {
     requireAlphaBeta(alpha, beta)
     val (part, tau, bound) = DeltaIndex.dispatch(alpha, beta)
-    val offsets = idx.vertexOffsets.filter(col("part") === part)
-    if (!DeltaIndex.inCore(offsets, idx.cap, qGid, tau, bound)) return emptyEdges(edges0.sparkSession)
-    val members = offsets.filter(col("tau") === tau && col("off") >= bound).select(col("gid"))
+    val members = idx.vertexOffsets
+      .filter(col("part") === part && col("tau") === tau && col("off") >= bound).select(col("gid"))
     // Q_v's extra work: every edge of G is examined against the vertex set.
     val coreEdges = normalize(edges0)
       .join(members.select(col("gid").as("ugid")), gidU(col(U)) === col("ugid"), "left_semi")

@@ -11,10 +11,12 @@ import repro.graph.{Bfs, Bipartite, Peel}
   *            original adjacency (Liu et al. WWW'19 [15]);
   *  - Q_opt — I_delta based, a BFS from q over one (part, tau,
   *            off >= bound) slice of the index (this paper): the slice is
-  *            scanned once per query, and each BFS round reads only the
-  *            frontier's entries.
+  *            scanned once per query, its entries into q tell whether q is
+  *            in the core, and each BFS round reads only the frontier's
+  *            entries; no other table is read.
   *
-  * All return the canonical edge list (u, v, w) of C_{alpha,beta}(q).
+  * All return the canonical edge list (u, v, w) of C_{alpha,beta}(q). Q_o
+  * and the index builds reject null ids and duplicate edges.
   */
 object CommunitySearch {
   import Bipartite._

@@ -18,7 +18,8 @@ import repro.graph.{Bfs, Bipartite, Offsets}
   * and `dst >> 1`), and the sort + early exit becomes the filter
   * `off >= bound` on the (part, tau) slice. A query scans that whole
   * filtered slice once, when its BFS builds adjacency lists from it; each BFS
-  * round then reads only the frontier's entries.
+  * round then reads only the frontier's entries. The entries into q carry
+  * q's own offset, so the slice also tells whether q is in the core.
   */
 final case class DeltaIndex(
     entries: DataFrame,       // part, tau, src, dst, w, off
@@ -92,14 +93,14 @@ object DeltaIndex {
   /** Q_opt (Algorithm 2 over I_delta): dispatch on min(alpha, beta) — use
     * part "a" at tau = alpha when alpha <= beta (filter neighbor alpha-offset
     * >= beta), else part "b" at tau = beta (filter neighbor beta-offset >=
-    * alpha). By Lemma 4 a nonempty core has min(alpha, beta) <= delta.
-    * Returns the canonical edges of C_{alpha,beta}(q).
+    * alpha). By Lemma 4 a nonempty core has min(alpha, beta) <= delta, and
+    * the index has no entry at tau > delta. Returns the canonical edges of
+    * C_{alpha,beta}(q).
     */
   def query(idx: DeltaIndex, qGid: Long, alpha: Int, beta: Int): DataFrame = {
     requireAlphaBeta(alpha, beta)
     val (part, tau, bound) = dispatch(alpha, beta)
-    val inPart = col("part") === part
-    sliceQuery(idx.entries.filter(inPart), idx.vertexOffsets.filter(inPart), idx.delta, qGid, tau, bound)
+    sliceQuery(idx.entries.filter(col("part") === part), qGid, tau, bound)
   }
 
   /** The (part, tau, bound) that holds C_{alpha,beta}: tau = min(alpha, beta)
@@ -108,26 +109,10 @@ object DeltaIndex {
   private[core] def dispatch(alpha: Int, beta: Int): (String, Int, Int) =
     if (alpha <= beta) ("a", alpha, beta) else ("b", beta, alpha)
 
-  /** The offset of `gid` at `tau` in a vertex-offset table of one part (0
-    * when the vertex has no row there).
+  /** Algorithm 2 over one index part: the BFS from q over the entries at tau
+    * with off >= bound. An entry into q carries q's own offset, so the slice
+    * has one exactly when q is in the core, and the BFS is empty otherwise.
     */
-  private[core] def offsetOf(vertexOffsets: DataFrame, gid: Long, tau: Int): Int = {
-    val r = vertexOffsets.filter(col("tau") === tau && col("gid") === gid).select("off").collect()
-    if (r.isEmpty) 0 else r(0).getInt(0)
-  }
-
-  /** Whether q is in the core that holds C_{alpha,beta}(q), read from one
-    * part's vertex offsets materialized up to `cap`: tau <= cap and q's
-    * offset at tau reaches `bound`.
-    */
-  private[core] def inCore(vertexOffsets: DataFrame, cap: Int, qGid: Long, tau: Int, bound: Int): Boolean =
-    tau <= cap && offsetOf(vertexOffsets, qGid, tau) >= bound
-
-  /** Algorithm 2 over one index part: empty unless q is in the core, else
-    * the BFS from q over the entries at tau with off >= bound.
-    */
-  private[core] def sliceQuery(entries: DataFrame, vertexOffsets: DataFrame, cap: Int,
-                               qGid: Long, tau: Int, bound: Int): DataFrame =
-    if (!inCore(vertexOffsets, cap, qGid, tau, bound)) emptyEdges(entries.sparkSession)
-    else Bfs.subgraphFrom(entries.filter(col("tau") === tau && col("off") >= bound), qGid)
+  private[core] def sliceQuery(entries: DataFrame, qGid: Long, tau: Int, bound: Int): DataFrame =
+    Bfs.subgraphFrom(entries.filter(col("tau") === tau && col("off") >= bound), qGid)
 }

@@ -41,12 +41,12 @@ object Effectiveness {
     ConnectedComponents.componentEdges(Butterflies.bitruss(edges, k), qGid)
 
   /** C_{4*}: q's component of the subgraph induced by the items (lower layer)
-    * whose average weight is >= `thresh`.
+    * whose average weight is >= 4.
     */
-  def c4star(edges0: DataFrame, qGid: Long, thresh: Double = 4.0): DataFrame = {
+  def c4star(edges0: DataFrame, qGid: Long): DataFrame = {
     val edges = normalize(edges0)
     val good = edges.groupBy(V).agg(avg(col(W)).as("a"))
-      .filter(col("a") >= thresh).select(V)
+      .filter(col("a") >= 4.0).select(V)
     ConnectedComponents.componentEdges(edges.join(good, Seq(V), "left_semi"), qGid)
   }
 

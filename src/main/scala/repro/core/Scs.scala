@@ -15,7 +15,7 @@ import repro.local.{LocalBipartite, LocalScs}
   * or None when q is not in the (alpha,beta)-core of the input. R is a local
   * DataFrame with the canonical schema (u: long, v: long, w: double). A
   * local input, such as the community [[DeltaIndex.query]] returns, is read
-  * without a Spark job. NaN weights are rejected.
+  * without a Spark job. NaN weights and duplicate edges are rejected.
   */
 object Scs {
   import Bipartite._

@@ -141,11 +141,11 @@ object Tables {
                           baselineMs: Double, peelMs: Double, expandMs: Double)
 
   def scsTable(spark: SparkSession, specs: Seq[DatasetSpec],
-               nQueries: Int = 2, paramOverride: Option[Int] = None): Seq[ScsRow] =
+               nQueries: Int = 2): Seq[ScsRow] =
     specs.map { spec =>
       val edges = Datasets.generate(spark, spec)
       val delta = Offsets.degeneracy(edges)
-      val p = paramOverride.getOrElse(defaultParam(delta))
+      val p = defaultParam(delta)
       scsRowFor(spec.name, edges, p, p, nQueries)
     }
 
@@ -266,7 +266,7 @@ object Tables {
     val bitruss = Effectiveness.bitrussCommunity(edges, cfg.qGid,
       cfg.alpha.toLong * cfg.beta)
     val biclique = Effectiveness.bicliqueCommunity(edges, cfg.qGid, cfg.alpha)
-    val c4 = Effectiveness.c4star(edges, cfg.qGid, 4.0)
+    val c4 = Effectiveness.c4star(edges, cfg.qGid)
     Seq(
       Effectiveness.stats("SC", sc, sc),
       Effectiveness.stats("(a,b)-core", core, sc),

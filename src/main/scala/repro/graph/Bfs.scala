@@ -24,14 +24,14 @@ object Bfs {
 
   /** Canonical edges (u, v, w) of the subgraph reachable from startGid over
     * `adj` (src: long, dst: long, w: double), in ecc(startGid) + 1 rounds of
-    * one Spark job each, as a local DataFrame; empty when startGid has no
-    * rows. `adj` must be symmetric: every row src -> dst has its reverse
-    * with the same w, as `sym(...)` and the I_delta and I_bs slices do (a
-    * slice keeps both directions of every community edge). The answer is the
+    * one Spark job each, as a local DataFrame; empty, after one round,
+    * unless some row leads into startGid. `adj` must be symmetric on the
+    * vertices reached: every row src -> dst has its reverse with the same w,
+    * as `sym(...)` and the I_delta and I_bs slices do. The answer is the
     * rows read from upper frontier vertices; every visited vertex is in
     * exactly one frontier, so each edge is read once that way. Raises
-    * IllegalArgumentException when the answer exceeds the
-    * [[Bipartite.maxDriverEdges]] limit.
+    * IllegalArgumentException on a null src, dst or w, and when the answer
+    * exceeds the [[Bipartite.maxDriverEdges]] limit.
     */
   def subgraphFrom(adj: DataFrame, startGid: Long): DataFrame =
     subgraphFrom(adj, startGid, maxDriverEdges(Runtime.getRuntime.maxMemory))
@@ -39,7 +39,7 @@ object Bfs {
   private[graph] def subgraphFrom(adj: DataFrame, startGid: Long, maxEdges: Int): DataFrame = {
     val spark = adj.sparkSession
     val lists = adj.select(col("src"), col("dst"), col(W)).queryExecution.toRdd
-      .mapPartitions(rows => Iterator(Lists(rows)))
+      .mapPartitions(rows => Iterator(Lists(rows, startGid)))
       .persist(StorageLevel.MEMORY_ONLY)
     try {
       val visited = mutable.LongMap(startGid -> ())
@@ -47,9 +47,10 @@ object Bfs {
       var frontier = Array(startGid)
       while (frontier.nonEmpty) {
         val f = spark.sparkContext.broadcast(frontier)
-        val parts = try lists.map(_.rowsOf(f.value)).collect() finally f.destroy()
+        val parts = try lists.map(l => (l.intoStart, l.rowsOf(f.value))).collect() finally f.destroy()
+        if (!parts.exists(_._1)) return emptyEdges(spark)
         val next = mutable.LongMap.empty[Unit]
-        for ((src, dst, w) <- parts; i <- src.indices) {
+        for ((_, (src, dst, w)) <- parts; i <- src.indices) {
           if (isUGid(src(i))) answer += Row(src(i) >> 1, dst(i) >> 1, w(i))
           if (!visited.contains(dst(i))) next(dst(i)) = ()
         }
@@ -65,8 +66,10 @@ object Bfs {
 
   /** One partition's (src, dst, w) rows as adjacency lists: the rows of
     * `keys(i)` (sorted, distinct) are `dst` and `w` at [start(i), start(i + 1)).
+    * `intoStart` is whether some row's dst is the traversal's start.
     */
-  private final class Lists(keys: Array[Long], start: Array[Int], dst: Array[Long], w: Array[Double]) {
+  private final class Lists(keys: Array[Long], start: Array[Int], dst: Array[Long], w: Array[Double],
+                            val intoStart: Boolean) {
 
     /** The rows (src, dst, w) whose src is one of `gids`. */
     def rowsOf(gids: Array[Long]): (Array[Long], Array[Long], Array[Double]) = {
@@ -80,9 +83,12 @@ object Bfs {
   }
 
   private object Lists {
-    def apply(rows: Iterator[InternalRow]): Lists = {
+    def apply(rows: Iterator[InternalRow], startGid: Long): Lists = {
       val (s, d, x) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofDouble)
-      rows.foreach { r => s += r.getLong(0); d += r.getLong(1); x += r.getDouble(2) }
+      rows.foreach { r =>
+        requireNonNull(r, "src", "dst", W)
+        s += r.getLong(0); d += r.getLong(1); x += r.getDouble(2)
+      }
       val (src, dst, w) = (s.result(), d.result(), x.result())
       val sorted = src.clone()
       Arrays.sort(sorted)
@@ -102,7 +108,7 @@ object Bfs {
         dstByKey(p) = dst(j)
         wByKey(p) = w(j)
       }
-      new Lists(keys, start, dstByKey, wByKey)
+      new Lists(keys, start, dstByKey, wByKey, dst.contains(startGid))
     }
   }
 }

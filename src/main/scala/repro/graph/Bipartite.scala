@@ -2,6 +2,7 @@ package repro.graph
 
 import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
 
@@ -29,6 +30,13 @@ object Bipartite {
   /** Coerce an edge DataFrame to the canonical (u: long, v: long, w: double). */
   def normalize(edges: DataFrame): DataFrame =
     edges.select(col(U).cast("long").as(U), col(V).cast("long").as(V), col(W).cast("double").as(W))
+
+  /** Rejects a null in the leading fields of a row leaving SQL, named
+    * `names`: `getLong` and `getDouble` would read it as 0.
+    */
+  private[graph] def requireNonNull(r: InternalRow, names: String*): Unit =
+    for (i <- names.indices if r.isNullAt(i))
+      throw new IllegalArgumentException(s"an edge has a null ${names(i)}")
 
   /** Eagerly materialize and cut lineage — mandatory inside fixpoint loops,
     * otherwise every iteration replays the whole history of joins.

@@ -1,7 +1,6 @@
 package repro.graph
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** Connected components by min-gid label propagation over the gid-encoded
   * adjacency, and BFS component extraction.
@@ -13,11 +12,11 @@ object ConnectedComponents {
     * minimum gid reachable from the vertex.
     */
   def labels(edges: DataFrame): DataFrame =
-    Fixpoint.run(edges, minLabel, minLabel).select(col("gid"), col("s").as("comp"))
+    edges.sparkSession.createDataFrame(Fixpoint.run(edges, minLabel, minLabel)).toDF("gid", "comp")
 
   /** Each vertex keeps the least of its own label and its neighbors'. */
-  private val minLabel =
-    Fixpoint.Layer(init = col("gid"), step = least(col("s"), array_min(col("msgs"))))
+  private val minLabel: Fixpoint.Layer[Long] =
+    Fixpoint.Layer(init = (gid, _) => gid, step = (s, msgs) => math.min(s, msgs.min))
 
   /** Edges of the connected component containing qGid (empty if absent). */
   def componentEdges(edges: DataFrame, qGid: Long): DataFrame =

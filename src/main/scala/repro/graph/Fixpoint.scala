@@ -1,20 +1,23 @@
 package repro.graph
 
-import org.apache.spark.sql.{Column, DataFrame, Observation}
-import org.apache.spark.sql.functions._
+import org.apache.spark.HashPartitioner
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.DataFrame
 
 /** The message-passing fixpoint shared by the offsets, the core numbers, the
   * component labels and the (alpha, beta)-core peel.
   *
-  * Every vertex of a bipartite edge list is a row `(gid, nbrs: array<long>,
-  * s)` holding its neighbors and its current value. A half-step makes one
-  * layer send `s` along `explode(nbrs)`; each vertex of the other layer
-  * groups what it receives with its own row (the only shuffle) and replaces
-  * `s` by its layer's `step` over `msgs` (the received values) and `s` (its
-  * old value). The number of rows whose value changed is counted in the
-  * same job by an [[Observation]]. The layers alternate, upper first.
+  * Every vertex of a bipartite edge list is a record `(gid, nbrs, s,
+  * changed)` holding its sorted neighbors and its current value, and it stays
+  * in the hash partition of its gid for the whole run. A half-step makes one
+  * layer send `(dst, s)` to each neighbor; the messages are the only shuffle,
+  * cogrouped with the state under its own partitioner. Each vertex of the
+  * other layer replaces `s` by its layer's `step` over its old value and
+  * what it received. The new state is checkpointed and its changed vertices
+  * counted in the same job, and the state it supersedes is unpersisted. The
+  * layers alternate, upper first.
   *
-  * When a half-step other than the first changes no row, the receiving
+  * When a half-step other than the first changes no vertex, the receiving
   * layer's values are its step over the sender's values, which were in
   * turn computed from those same receiving values: both layers are at a
   * fixpoint. Termination is the caller's condition: the offset and core
@@ -24,46 +27,57 @@ import org.apache.spark.sql.functions._
 private[graph] object Fixpoint {
   import Bipartite._
 
-  /** A layer's update rule. `init` may read `gid` and `nbrs`; `step` reads
-    * `msgs` and the old value `s`.
+  /** A layer's update rule: `init(gid, degree)` is a vertex's first value,
+    * `step(old, received)` its next one.
     */
-  final case class Layer(init: Column, step: Column)
+  final case class Layer[S](init: (Long, Int) => S, step: (S, Iterable[S]) => S)
 
-  /** Runs the fixpoint on `edges0`: DataFrame(gid: long, s) for every vertex. */
-  def run(edges0: DataFrame, upper: Layer, lower: Layer): DataFrame = {
-    val e = normalize(edges0)
-    val rows = cp(
-      e.select(gidU(col(U)).as("gid"), gidL(col(V)).as("nbr"))
-        .unionByName(e.select(gidL(col(V)).as("gid"), gidU(col(U)).as("nbr")))
-        .groupBy("gid").agg(collect_list(col("nbr")).as("nbrs")))
-    val isUpper = col("gid") % 2 === 0
-    var up = rows.filter(isUpper).withColumn("s", upper.init)
-    var lo = rows.filter(!isUpper).withColumn("s", lower.init)
+  private final case class Vertex[S](nbrs: Array[Long], s: S, changed: Boolean)
+
+  /** Runs the fixpoint on `edges0`: (gid, s) for every vertex, read from the
+    * final state, which stays persisted. Rejects null ids and duplicate
+    * edges.
+    */
+  def run[S](edges0: DataFrame, upper: Layer[S], lower: Layer[S]): RDD[(Long, S)] = {
+    val part = new HashPartitioner(edges0.sparkSession.sessionState.conf.numShufflePartitions)
+    val pairs = normalize(edges0).select(U, V).queryExecution.toRdd.flatMap { r =>
+      requireNonNull(r, U, V)
+      val (u, v) = (gidOfU(r.getLong(0)), gidOfL(r.getLong(1)))
+      Iterator((u, v), (v, u))
+    }
+    // A Vector combiner, not groupByKey: Spark shuffles (Long, Long) with Kryo.
+    var state: RDD[(Long, Vertex[S])] =
+      pairs.aggregateByKey(Vector.empty[Long], part)(_ :+ _, _ ++ _).mapPartitions(_.map { case (gid, ns) =>
+        val nbrs = ns.toArray.sorted
+        for (i <- 1 until nbrs.length if nbrs(i) == nbrs(i - 1)) {
+          val (x, y) = (gid >> 1, nbrs(i) >> 1)
+          val (u, v) = if (isUGid(gid)) (x, y) else (y, x)
+          throw new IllegalArgumentException(s"duplicate edge (u=$u, v=$v)")
+        }
+        val layer = if (isUGid(gid)) upper else lower
+        (gid, Vertex(nbrs, layer.init(gid, nbrs.length), changed = false))
+      }, preservesPartitioning = true)
     var half = 0
     var done = false
     while (!done) {
       half += 1
-      val changed =
-        if (half % 2 == 1) { val (n, c) = halfStep(lo, up, upper); up = n; c }
-        else { val (n, c) = halfStep(up, lo, lower); lo = n; c }
+      val (fromUpper, layer) = if (half % 2 == 1) (false, upper) else (true, lower)
+      val msgs = state.flatMap { case (gid, x) =>
+        if (isUGid(gid) == fromUpper) x.nbrs.iterator.map(dst => (dst, x.s)) else Iterator.empty
+      }
+      val next = state.cogroup(msgs, part).mapValues { case (xs, received) =>
+        val x = xs.head
+        if (received.isEmpty) x.copy(changed = false) // the sending layer
+        else {
+          val s = layer.step(x.s, received)
+          Vertex(x.nbrs, s, !java.util.Objects.deepEquals(s, x.s))
+        }
+      }.localCheckpoint()
+      val changed = next.filter(_._2.changed).count()
+      state.unpersist(blocking = false)
+      state = next
       done = half >= 2 && changed == 0
     }
-    up.select("gid", "s").unionByName(lo.select("gid", "s"))
-  }
-
-  /** `to`'s rows after one update from `from`'s values, and how many changed. */
-  private def halfStep(from: DataFrame, to: DataFrame, layer: Layer): (DataFrame, Long) = {
-    val msgs = from.select(explode(col("nbrs")).as("gid"), col("s").as("msg"))
-    val changed = Observation()
-    val next = cp(
-      to.unionByName(msgs, allowMissingColumns = true)
-        .groupBy("gid")
-        .agg(first(col("nbrs"), ignoreNulls = true).as("nbrs"),
-          first(col("s"), ignoreNulls = true).as("s"),
-          collect_list(col("msg")).as("msgs"))
-        .withColumn("next", layer.step)
-        .observe(changed, count_if(!(col("next") <=> col("s"))).as("n"))
-        .select(col("gid"), col("nbrs"), col("next").as("s")))
-    (next, changed.get("n").asInstanceOf[Long])
+    state.mapValues(_.s)
   }
 }

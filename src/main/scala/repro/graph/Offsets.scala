@@ -1,7 +1,7 @@
 package repro.graph
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** Distributed (alpha,beta)-core offset computation.
   *
@@ -19,7 +19,7 @@ import org.apache.spark.sql.functions._
   * greatest fixpoint, which equals the true offsets (any fixpoint induces a
   * valid (alpha,beta)-core membership witness and the true offsets are a
   * fixpoint). Every tau in [1, taus] and both the alpha and beta parts are
-  * independent positions of one array<int> value per vertex, iterated in
+  * independent positions of one Array[Int] value per vertex, iterated in
   * lockstep by one [[Fixpoint]] run. Correctness is cross-checked against the
   * definitional sequential oracle in the test suite.
   */
@@ -34,11 +34,11 @@ object Offsets {
     * neighbors' values at p when rules(p) > 0 (0 if there are fewer), and
     * their h-index when rules(p) = 0.
     */
-  private val update = udf { (msgs: Seq[Seq[Int]], rules: Seq[Int]) =>
-    val d = msgs.size
-    val xs = msgs.map(_.toArray).toArray
+  private def update(msgs: Iterable[Array[Int]], rules: Array[Int]): Array[Int] = {
+    val xs = msgs.toArray
+    val d = xs.length
     val buf = new Array[Int](d)
-    rules.indices.map { p =>
+    Array.tabulate(rules.length) { p =>
       var i = 0
       while (i < d) { buf(i) = xs(i)(p); i += 1 }
       java.util.Arrays.sort(buf)
@@ -49,25 +49,21 @@ object Offsets {
         while (h < d && buf(d - h - 1) >= h + 1) h += 1
         h
       }
-    }.toArray
+    }
   }
 
   /** The layer whose positions follow `rules`, starting from the update over
-    * `size(nbrs)` neighbors that all report Big.
+    * `degree` neighbors that all report Big.
     */
-  private def layer(rules: Seq[Int]): Fixpoint.Layer = {
-    val deg = size(col("nbrs"))
-    Fixpoint.Layer(
-      init = transform(typedLit(rules), k =>
-        when(k === 0, deg).when(deg >= k, lit(Big)).otherwise(lit(0))),
-      step = update(col("msgs"), typedLit(rules)))
-  }
+  private def layer(rules: Array[Int]): Fixpoint.Layer[Array[Int]] = Fixpoint.Layer(
+    init = (_, deg) => rules.map(k => if (k == 0) deg else if (deg >= k) Big else 0),
+    step = (_, msgs) => update(msgs, rules))
 
-  private def constrained(taus: Int): Seq[Int] = 1 to taus
-  private def free(taus: Int): Seq[Int] = Seq.fill(taus)(0)
+  private def constrained(taus: Int): Array[Int] = (1 to taus).toArray
+  private def free(taus: Int): Array[Int] = new Array[Int](taus)
 
-  private def offsets(edges: DataFrame, upper: Seq[Int], lower: Seq[Int]): DataFrame =
-    Fixpoint.run(edges, layer(upper), layer(lower)).withColumnRenamed("s", "offs")
+  private def offsets(edges: DataFrame, upper: Array[Int], lower: Array[Int]): DataFrame =
+    edges.sparkSession.createDataFrame(Fixpoint.run(edges, layer(upper), layer(lower))).toDF("gid", "offs")
 
   /** All alpha-offsets for tau in [1, taus] at once:
     * DataFrame(gid: long, offs: array<int>) with offs[t-1] = s_a(gid, t),
@@ -92,12 +88,11 @@ object Offsets {
     * (as the paper notes, citing [21]).
     */
   def coreNumbers(edges: DataFrame): DataFrame =
-    Fixpoint.run(edges, layer(free(1)), layer(free(1)))
-      .select(col("gid"), element_at(col("s"), 1).as("core"))
+    edges.sparkSession.createDataFrame(cores(edges)).toDF("gid", "core")
 
   /** Degeneracy: the largest tau with a nonempty (tau,tau)-core. */
-  def degeneracy(edges: DataFrame): Int = {
-    val r = coreNumbers(edges).agg(max("core")).head
-    if (r.isNullAt(0)) 0 else r.getInt(0)
-  }
+  def degeneracy(edges: DataFrame): Int = cores(edges).values.fold(0)(math.max)
+
+  private def cores(edges: DataFrame): RDD[(Long, Int)] =
+    Fixpoint.run(edges, layer(free(1)), layer(free(1))).mapValues(_(0))
 }

@@ -17,13 +17,13 @@ object Peel {
     */
   def core(edges0: DataFrame, alpha: Int, beta: Int): DataFrame = {
     val edges = normalize(edges0)
-    val alive = Fixpoint.run(edges, aliveWhile(alpha), aliveWhile(beta)).filter(col("s")).select(col("gid"))
+    val alive = edges.sparkSession.createDataFrame(Fixpoint.run(edges, aliveWhile(alpha), aliveWhile(beta))
+      .filter(_._2)).select(col("_1").as("gid"))
     cp(edges
       .join(alive.withColumnRenamed("gid", "ug"), gidU(col(U)) === col("ug"), "left_semi")
       .join(alive.withColumnRenamed("gid", "lg"), gidL(col(V)) === col("lg"), "left_semi"))
   }
 
-  private def aliveWhile(k: Int): Fixpoint.Layer = Fixpoint.Layer(
-    init = size(col("nbrs")) >= k,
-    step = col("s") && size(filter(col("msgs"), m => m)) >= k)
+  private def aliveWhile(k: Int): Fixpoint.Layer[Boolean] =
+    Fixpoint.Layer(init = (_, deg) => deg >= k, step = (s, msgs) => s && msgs.count(identity) >= k)
 }

@@ -31,14 +31,15 @@ object LocalScs {
 
   /** SCS-Peel (Algorithm 4) over C_{alpha,beta}(q). Any edge set is
     * accepted: it is peeled to its (alpha,beta)-core and cut to q's
-    * component first. Rejects NaN weights.
+    * component first. Rejects NaN weights and duplicate edges.
     */
   def peel(g: LocalBipartite, qGid: Long, alpha: Int, beta: Int): Option[LocalBipartite] =
     run(g)(_.peel(qGid, alpha, beta))
 
   /** SCS-Expand (Algorithm 5): expansion restricted to `source`, checking at
     * most when C* grew by `epsilon`. `source` is the (alpha,beta)-community
-    * for SCS-Expand and the whole graph for SCS-Baseline. Rejects NaN weights.
+    * for SCS-Expand and the whole graph for SCS-Baseline. Rejects NaN weights
+    * and duplicate edges.
     */
   def expand(source: LocalBipartite, qGid: Long, alpha: Int, beta: Int,
              epsilon: Double = 2.0): Option[LocalBipartite] =
@@ -75,6 +76,15 @@ object LocalScs {
         adj(fill(dst(e))) = e; fill(dst(e)) += 1
       }
       (offs, adj)
+    }
+
+    { // a duplicate (u, v) would count twice in both endpoints' degrees
+      val last = Array.fill(n)(-1)
+      for (x <- 0 until nU; k <- offs(x) until offs(x + 1)) {
+        val e = adj(k)
+        require(last(dst(e)) != x, s"duplicate edge (u=${edges(e)._1}, v=${edges(e)._2})")
+        last(dst(e)) = x
+      }
     }
 
     private val (levelStart, byLevel) = {

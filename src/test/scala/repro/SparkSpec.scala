@@ -16,6 +16,16 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** The IllegalArgumentException `body` raises, on the driver or, wrapped
+    * by the job's failure, in a Spark task.
+    */
+  def rejection(body: => Any): IllegalArgumentException = {
+    val e = intercept[Exception](body)
+    Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .collectFirst { case i: IllegalArgumentException => i }
+      .getOrElse(fail(s"no IllegalArgumentException in $e"))
+  }
 }
 
 object SparkSpec {

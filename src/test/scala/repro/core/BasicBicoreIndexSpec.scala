@@ -48,6 +48,17 @@ class BasicBicoreIndexSpec extends SparkSpec {
     assert(splitCores > 0, "no query ran on a core with several components")
   }
 
+  /** A q outside the (a,b)-core that has entries in the slice the query
+    * reads, as its own offset at tau is at least 1 but below the bound:
+    * the query is empty, as the oracle's community.
+    */
+  private def checkOutsideWithEntries(idx: BasicIndex, q: Long, a: Int, b: Int): Unit = {
+    val (tau, bound) = if (idx.isAlpha) (a, b) else (b, a)
+    assert(idx.entries.filter(col("tau") === tau && col("off") >= bound && col("src") === q).count() > 0)
+    assert(fig2Local.community(q, a, b).isEmpty)
+    assert(BasicIndexes.query(idx, q, a, b).isEmpty, s"q=$q (a,b)=($a,$b)")
+  }
+
   test("I_bs^alpha query equals the community for alpha within cap") {
     val idx = BasicIndexes.build(fig2Df, isAlpha = true, cap0 = 4)
     for ((a, b) <- Seq((1, 1), (2, 2), (2, 3), (3, 3), (4, 1))) {
@@ -55,6 +66,7 @@ class BasicBicoreIndexSpec extends SparkSpec {
       val exp = fig2Local.community(gidU(3), a, b).edges.toSet
       assert(got == exp, s"(a,b)=($a,$b)")
     }
+    checkOutsideWithEntries(idx, gidL(3), 2, 4)
     checkQueryGraphs(isAlpha = true)
   }
 
@@ -65,6 +77,7 @@ class BasicBicoreIndexSpec extends SparkSpec {
       val exp = fig2Local.community(gidU(1), a, b).edges.toSet
       assert(got == exp, s"(a,b)=($a,$b)")
     }
+    checkOutsideWithEntries(idx, gidU(4), 3, 2)
     checkQueryGraphs(isAlpha = false)
   }
 
@@ -97,6 +110,9 @@ class BasicBicoreIndexSpec extends SparkSpec {
     val idx = BicoreIndex.build(fig2Df)
     assert(BicoreIndex.query(fig2Df, idx, gidU(5), 2, 2).isEmpty)
     assert(BicoreIndex.query(fig2Df, idx, gidU(1), 4, 5).isEmpty)
+    // outside the core, with offsets at tau of at least tau
+    assert(BicoreIndex.query(fig2Df, idx, gidL(3), 2, 4).isEmpty)
+    assert(BicoreIndex.query(fig2Df, idx, gidU(4), 3, 2).isEmpty)
   }
 
   test("analytic I_bs full sizes equal DuckDB sums of squared degrees") {

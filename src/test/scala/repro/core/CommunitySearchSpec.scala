@@ -101,6 +101,17 @@ class CommunitySearchSpec extends SparkSpec {
     assert(edgeSet(DeltaIndex.query(iDelta, gidU(3), 1, 1)) == fig2.toSet)
   }
 
+  test("a duplicate edge is rejected by the index build, Q_o and SCS-Peel") {
+    // K_{1,2} with (u1, v1) listed twice: counted twice, u1 would reach degree 3.
+    val df = toDF(spark, Vector((1L, 1L, 1.0), (1L, 2L, 2.0), (1L, 1L, 1.0)))
+    val runs: Seq[(String, () => Any)] = Seq(
+      "DeltaIndex.build" -> (() => DeltaIndex.build(df)),
+      "Q_o" -> (() => CommunitySearch.online(df, gidU(1), 3, 1)),
+      "SCS-Peel" -> (() => Scs.peel(df, gidU(1), 3, 1)))
+    for ((name, run) <- runs)
+      assert(rejection(run()).getMessage.contains("duplicate edge (u=1, v=1)"), name)
+  }
+
   test("two-block graph: community stays within q's component") {
     val cut = twoBlocks.filter(_._3 != 1.0)
     val df = toDF(spark, cut)

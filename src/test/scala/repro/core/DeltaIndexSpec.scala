@@ -55,8 +55,9 @@ class DeltaIndexSpec extends SparkSpec {
   }
 
   test("vertex offset lookups match the oracle") {
-    def offsetOf(part: String, x: Long, tau: Int): Int =
-      DeltaIndex.offsetOf(fig2Idx.vertexOffsets.filter(col("part") === part), x, tau)
+    val offs = fig2Idx.vertexOffsets.select("part", "tau", "gid", "off").collect()
+      .map(r => (r.getString(0), r.getInt(1), r.getLong(2)) -> r.getInt(3)).toMap
+    def offsetOf(part: String, x: Long, tau: Int): Int = offs.getOrElse((part, tau, x), 0)
     for (tau <- 1 to fig2Idx.delta; x <- Seq(gidU(1), gidU(3), gidU(5), gidL(1), gidL(4))) {
       assert(offsetOf("a", x, tau) == fig2Local.alphaOffsets(tau).getOrElse(x, 0),
         s"alpha x=$x tau=$tau")
@@ -89,19 +90,30 @@ class DeltaIndexSpec extends SparkSpec {
     }
   }
 
-  test("Q_opt on a path runs one offset lookup and one job per BFS round") {
+  test("Q_opt on a path runs one job per BFS round") {
     val edges = pathOf(6)
     val ecc = 12 // of u1 on pathOf(6), all of which is the (1,1)-core
     val idx = DeltaIndex.build(toDF(spark, edges))
     val (got, jobs) = JobCounter.jobsIn(spark.sparkContext)(edgeSet(DeltaIndex.query(idx, gidU(1), 1, 1)))
     assert(got == LocalBipartite(edges).community(gidU(1), 1, 1).edges.toSet)
-    assert(jobs <= ecc + 2, s"$jobs jobs for ${ecc + 1} rounds")
+    assert(jobs <= ecc + 1, s"$jobs jobs for ${ecc + 1} rounds")
   }
 
   test("Q_opt empty cases: q outside core; min(a,b) beyond delta") {
     assert(DeltaIndex.query(fig2Idx, gidU(5), 2, 2).isEmpty)   // pendant
     assert(DeltaIndex.query(fig2Idx, gidU(1), 4, 4).isEmpty)   // > delta both
     assert(DeltaIndex.query(fig2Idx, gidU(999), 1, 1).isEmpty) // absent vertex
+    // v3 and u4 have entries in the slice, but their own offset at tau is
+    // below the bound: they are outside the core, in part a and part b.
+    for ((q, a, b, part) <- Seq((gidL(3), 2, 4, "a"), (gidU(4), 3, 2, "b"))) {
+      val (tau, bound) = (math.min(a, b), math.max(a, b))
+      val off = (if (part == "a") fig2Local.alphaOffsets(tau) else fig2Local.betaOffsets(tau))(q)
+      assert(off >= tau && off < bound, s"q=$q offset $off")
+      assert(fig2Idx.entries.filter(col("part") === part && col("tau") === tau && col("off") >= bound &&
+        col("src") === q).count() > 0, s"q=$q has no slice entries")
+      assert(fig2Local.community(q, a, b).isEmpty)
+      assert(DeltaIndex.query(fig2Idx, q, a, b).isEmpty, s"q=$q (a,b)=($a,$b)")
+    }
   }
 
   test("index on a random graph: queries across the grid match the oracle") {
@@ -146,11 +158,12 @@ class DeltaIndexSpec extends SparkSpec {
     // pathOf(8) peels from both ends one vertex per round. The build with
     // one join-then-groupBy fixpoint per offsets part, two sum jobs per
     // round for its convergence test and alpha/beta run one after the other
-    // ran 139 jobs here; the bound is 139 / 3.
+    // ran 139 jobs here, and the SQL fixpoint with two jobs per half-step 38;
+    // with one job per half-step it runs 20.
     val edges = pathOf(8)
     val (idx, jobs) = JobCounter.jobsIn(spark.sparkContext)(DeltaIndex.build(toDF(spark, edges)))
     assert(idx.delta == 1)
     assert(idx.entries.filter(col("part") === "a" && col("tau") === 1).count() == 2L * edges.size)
-    assert(jobs <= 46, s"$jobs jobs")
+    assert(jobs <= 20, s"$jobs jobs")
   }
 }

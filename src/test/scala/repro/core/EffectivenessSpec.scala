@@ -16,10 +16,10 @@ class EffectivenessSpec extends SparkSpec {
       (1L, 1L, 5.0), (2L, 1L, 5.0), (1L, 2L, 4.0), (2L, 2L, 4.0),
       (3L, 3L, 1.0), (4L, 3L, 2.0), (3L, 4L, 5.0)) // v3 avg 1.5, v4 avg 5
     val df = toDF(spark, edges)
-    val got = edgeSet(Effectiveness.c4star(df, gidU(1), 4.0))
+    val got = edgeSet(Effectiveness.c4star(df, gidU(1)))
     assert(got == Set((1L, 1L, 5.0), (2L, 1L, 5.0), (1L, 2L, 4.0), (2L, 2L, 4.0)))
     // u3 connects to v4 (avg 5) once v3 is dropped
-    val got2 = edgeSet(Effectiveness.c4star(df, gidU(3), 4.0))
+    val got2 = edgeSet(Effectiveness.c4star(df, gidU(3)))
     assert(got2 == Set((3L, 4L, 5.0)))
   }
 

@@ -104,6 +104,22 @@ class ComponentsSpec extends SparkSpec {
     }
   }
 
+  test("a null id or weight is rejected where the edges leave SQL") {
+    import spark.implicits._
+    val ok = Seq((Option(0L), Option(1L), Option(1.0)), (Option(0L), Option(2L), Option(1.0)))
+    // The bad row, then what the BFS over (src, dst, w) and the fixpoint over (u, v) name.
+    val cases: Seq[((Option[Long], Option[Long], Option[Double]), String, Option[String])] = Seq(
+      ((None, Some(3L), Some(1.0)), "null (src|dst)", Some("null u")),
+      ((Some(1L), None, Some(1.0)), "null (src|dst)", Some("null v")),
+      ((Some(1L), Some(3L), None), "null w", None))
+    for ((bad, inBfs, inFixpoint) <- cases) {
+      val df = (ok :+ bad).toDF(Bipartite.U, Bipartite.V, Bipartite.W)
+      val bfs = rejection(ConnectedComponents.componentEdges(df, gidU(0))).getMessage
+      assert(inBfs.r.findFirstIn(bfs).isDefined, s"componentEdges $bad: $bfs")
+      inFixpoint.foreach(m => assert(rejection(Peel.core(df, 1, 1)).getMessage.contains(m), s"Peel.core $bad"))
+    }
+  }
+
   test("Bfs rejects a traversal above the driver limit") {
     val sc = spark.sparkContext
     val adj = Bipartite.sym(toDF(spark, pathOf(6))) // 12 edges

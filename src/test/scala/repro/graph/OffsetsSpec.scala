@@ -119,6 +119,14 @@ class OffsetsSpec extends SparkSpec {
     }
   }
 
+  test("degeneracy leaves only the fixpoint's final state persisted") {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    assert(Offsets.degeneracy(toDF(spark, pathOf(8))) == 1)
+    val added = sc.getPersistentRDDs.keySet -- before
+    assert(added.size <= 1, s"${added.size} RDDs left persisted")
+  }
+
   test("degeneracy on random graphs") {
     for (seed <- 4 to 6) {
       val g = random(6, 8, 0.45, seed)

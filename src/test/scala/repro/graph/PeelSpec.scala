@@ -69,10 +69,11 @@ class PeelSpec extends SparkSpec {
   test("core on a cascade-heavy path runs at most half the count-compare loop's jobs") {
     // pathOf(8) at (2,2) peels to nothing, one vertex from each end per
     // half-step. The count-compare loop with a checkpoint and a count per
-    // round ran 63 jobs here; the bound is 63 / 2.
+    // round ran 63 jobs here, and the SQL fixpoint with two jobs per
+    // half-step 24; with one job per half-step it runs 12.
     val (core, jobs) = JobCounter.jobsIn(spark.sparkContext)(Peel.core(toDF(spark, pathOf(8)), 2, 2))
     assert(core.isEmpty)
-    assert(jobs <= 31, s"$jobs jobs")
+    assert(jobs <= 12, s"$jobs jobs")
   }
 
   test("empty input yields empty core") {
